@@ -134,6 +134,23 @@ class ChunkNotFound(StoreError):
         self.key = key
 
 
+class ChunkKeyMismatch(StoreError):
+    """The chunk an index entry points at was written for another key.
+
+    The index said ``requested`` lives at some offset, but the chunk
+    decoded there carries ``found`` as its K2 — a corrupt or stale
+    index.  Merging on would graft one Reduce instance's edges onto
+    another, so the read fails instead.
+    """
+
+    def __init__(self, requested: object, found: object) -> None:
+        super().__init__(
+            f"index entry for key {requested!r} points at the chunk of key {found!r}"
+        )
+        self.requested = requested
+        self.found = found
+
+
 class ConvergenceError(ReproError):
     """An iterative computation failed to converge within its budget."""
 

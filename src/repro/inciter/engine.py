@@ -578,7 +578,7 @@ class I2MREngine:
                     # Ghost reduce instance: its structure kv-pair is gone.
                     state.pop(k2, None)
                     continue
-                dv_new = algorithm.reduce_instance(k2, [v2 for _, v2 in entries])
+                dv_new = algorithm.reduce_instance(k2, list(entries.values))
                 changed_outputs.append((k2, dv_new))
                 values_processed += len(entries) + 1
             part_delta = store.metrics.since(snap)

@@ -362,7 +362,7 @@ class IncrMREngine(MapReduceEngine):
             for k2, entries in store.merge_delta(delta_groups):
                 if entries:
                     before = len(ctx.emitted)
-                    reducer.reduce(k2, [v2 for _, v2 in entries], ctx)
+                    reducer.reduce(k2, list(entries.values), ctx)
                     group_out = list(ctx.emitted[before:])
                     state.outputs[k2] = group_out
                     values_processed += len(entries)

@@ -19,15 +19,35 @@ constant bytes with six strided ``memoryview`` comparisons and unpack
 every edge in a single ``struct`` call.  Heterogeneous chunks fall back
 to the generic recursive codec; both paths produce and accept byte-
 identical encodings.
+
+In memory a chunk is a :class:`ColumnarEdges`: an MK column and a value
+column, never one object per edge.  A chunk decoded from the flat shape
+also keeps a private copy of its encoded bytes and the value tag the
+decoder verified, which is what makes a merge cost follow the delta
+instead of the chunk (see :func:`repro.mrbgraph.graph.apply_delta`):
+
+- a delta that only replaces values of MKs the chunk already holds is
+  ``pack_into``-ed into a copy of those bytes
+  (:meth:`ColumnarEdges.with_values`), and :func:`encode_chunk` hands the
+  patched bytes back as they are;
+- any other delta is merged on the columns, and :func:`encode_chunk`
+  packs the result straight from them — the verified tag stands in for
+  a type check of every old value, so only the delta's values are
+  checked;
+- chunks that are not flat carry neither bytes nor a proven type and
+  take the generic codec.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Any, List, Tuple
+from collections.abc import Sequence
+from typing import Any, Dict, Iterator, NamedTuple, Optional, Tuple
 
 from repro.common.errors import SerializationError
 from repro.common.serialization import (
+    _F64,
+    _I64,
     _TAG_FLOAT,
     _TAG_INT,
     _TAG_LIST,
@@ -39,81 +59,243 @@ from repro.common.serialization import (
     encode_into,
     encoded_size,
 )
-from repro.mrbgraph.graph import Edge
 
 #: Encoded bytes of one flat ``(int, int|float)`` edge: tuple header (5),
 #: tagged i64 MK (9), tagged i64/f64 value (9).
 _FLAT_EDGE_BYTES = 23
 
-#: Fixed header of one flat edge: tuple tag + u32 count 2 + int tag.
-_EDGE_HEADER = bytes((_TAG_TUPLE, 2, 0, 0, 0, _TAG_INT))
+#: Fixed header of one flat edge — tuple tag + u32 count 2 + int tag — as
+#: ``(offset in the edge, that byte)`` pairs.
+_EDGE_HEADER = [
+    (rel, bytes([byte])) for rel, byte in enumerate((_TAG_TUPLE, 2, 0, 0, 0, _TAG_INT))
+]
+
+#: Offset of a flat edge's 8 value bytes (its value tag sits just before).
+_FLAT_VALUE_OFFSET = 15
 
 #: Minimum edge count before the batched path beats the generic encoder.
 _FLAT_RUN_MIN = 4
 
 
-def _encode_flat_edges(mks, values, value_tag: int, fmt: str) -> bytearray:
-    """Batch-encode a run of ``(int, int|float)`` edges at 23 bytes each."""
+class _FlatValues(NamedTuple):
+    """How the flat shape stores values of one exact Python type."""
+
+    tag_byte: bytes
+    column_format: str  # ``struct`` format of n packed values, given n
+    edge_format: str  # ``struct`` format reading one edge's MK and value
+    one: struct.Struct  # packs a single value
+
+
+#: The two value types a flat chunk can hold, by exact type and by tag.
+_FLAT_VALUES = {
+    float: _FlatValues(bytes([_TAG_FLOAT]), "<%dd", "6xq1xd", _F64),
+    int: _FlatValues(bytes([_TAG_INT]), "<%dq", "6xq1xq", _I64),
+}
+_FLAT_VALUE_TYPES = {_TAG_FLOAT: float, _TAG_INT: int}
+
+
+class Edge(NamedTuple):
+    """A preserved MRBGraph edge (within one Reduce instance's chunk)."""
+
+    mk: int
+    value: Any
+
+
+class ColumnarEdges(Sequence):
+    """A chunk's edges as two columns: a read-only ``Sequence[Edge]``.
+
+    ``len``, truthiness, iteration, indexing and ``==`` against a list of
+    :class:`Edge` (from either side) behave like the ``List[Edge]`` this
+    replaces; :class:`Edge` objects are only built when an item is
+    actually asked for.  Code on the merge path reads :attr:`mks` and
+    :attr:`values` directly.
+
+    Attributes:
+        mks: the MK column (a tuple).
+        values: the value column (a tuple, aligned with ``mks``).
+        raw: the chunk's complete encoded record — length prefix
+            included — when the columns were decoded from, or patched
+            into, the flat 23-byte-stride shape; a private copy, never a
+            view of the buffer it was read from.  ``None`` otherwise.
+        value_type: ``float`` or ``int`` when every value is proven to
+            be exactly of that type and every MK an exact ``int`` (the
+            decoder verified the tags, or a merge checked what it
+            added); ``None`` when nothing is proven.
+    """
+
+    __slots__ = ("mks", "values", "raw", "value_type")
+
+    def __init__(
+        self,
+        mks: Tuple[Any, ...] = (),
+        values: Tuple[Any, ...] = (),
+        raw: Optional[bytes] = None,
+        value_type: Optional[type] = None,
+    ) -> None:
+        self.mks = mks
+        self.values = values
+        self.raw = raw
+        self.value_type = value_type
+
+    def __len__(self) -> int:
+        return len(self.mks)
+
+    def __iter__(self) -> Iterator[Edge]:
+        return map(Edge, self.mks, self.values)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(map(Edge, self.mks[index], self.values[index]))
+        return Edge(self.mks[index], self.values[index])
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, ColumnarEdges):
+            return self.mks == other.mks and self.values == other.values
+        if isinstance(other, (list, tuple)):
+            return list(zip(self.mks, self.values)) == list(other)
+        return NotImplemented
+
+    __hash__ = None  # mutable-sequence semantics: equal by content, unhashable
+
+    def __repr__(self) -> str:
+        return f"ColumnarEdges({list(self)!r})"
+
+    def with_values(self, updates: Dict[int, Any]) -> Optional["ColumnarEdges"]:
+        """Replace the values at the given positions, patching the bytes.
+
+        Only for a chunk that carries :attr:`raw` and whose
+        ``updates`` values all have the exact type :attr:`value_type`:
+        each new value is ``pack_into``-ed over the old one in a copy of
+        the encoded bytes, so nothing is decoded, sorted or re-encoded.
+        Returns ``None`` when a value does not fit the flat encoding (an
+        ``int`` beyond 64 bits) — the caller then merges on the columns.
+        """
+        buf = bytearray(self.raw)
+        base = len(buf) - _FLAT_EDGE_BYTES * len(self.mks) + _FLAT_VALUE_OFFSET
+        pack_into = _FLAT_VALUES[self.value_type].one.pack_into
+        values = list(self.values)
+        try:
+            for position, value in updates.items():
+                pack_into(buf, base + _FLAT_EDGE_BYTES * position, value)
+                values[position] = value
+        except struct.error:
+            return None
+        return ColumnarEdges(self.mks, tuple(values), bytes(buf), self.value_type)
+
+
+def _flat_value_type(mks, values) -> Optional[type]:
+    """The value type ``(mks, values)`` qualifies for the flat shape with."""
+    if set(map(type, mks)) != {int}:
+        return None
+    value_types = set(map(type, values))
+    if len(value_types) != 1:
+        return None
+    value_type = value_types.pop()
+    return value_type if value_type in _FLAT_VALUES else None
+
+
+def _append_flat_edges(out: bytearray, mks, values, value_type: type) -> None:
+    """Batch-encode a run of flat edges at 23 bytes each onto ``out``.
+
+    Raises ``struct.error`` — before touching ``out`` — when an int does
+    not fit 64 bits.
+    """
     n = len(mks)
-    out = bytearray(_FLAT_EDGE_BYTES * n)
-    out[0::23] = bytes([_TAG_TUPLE]) * n
-    out[1::23] = b"\x02" * n  # u32 little-endian count 2; bytes 2-4 stay 0
-    out[5::23] = bytes([_TAG_INT]) * n
+    flat = _FLAT_VALUES[value_type]
     packed_mk = struct.pack("<%dq" % n, *mks)
+    packed_v = struct.pack(flat.column_format % n, *values)
+    start = len(out)
+    out += bytes(_FLAT_EDGE_BYTES * n)
+    out[start::23] = bytes([_TAG_TUPLE]) * n
+    out[start + 1 :: 23] = b"\x02" * n  # u32 little-endian count 2; bytes 2-4 stay 0
+    out[start + 5 :: 23] = bytes([_TAG_INT]) * n
     for i in range(8):
-        out[6 + i :: 23] = packed_mk[i::8]
-    out[14::23] = bytes([value_tag]) * n
-    packed_v = struct.pack(fmt % n, *values)
+        out[start + 6 + i :: 23] = packed_mk[i::8]
+    out[start + 14 :: 23] = flat.tag_byte * n
     for i in range(8):
-        out[15 + i :: 23] = packed_v[i::8]
-    return out
+        out[start + 15 + i :: 23] = packed_v[i::8]
 
 
-def encode_chunk(k2: Any, entries: List[Edge]) -> bytes:
-    """Encode one chunk to its on-disk representation."""
-    body = bytearray()
-    body.append(_TAG_TUPLE)
-    body += _U32.pack(2)
-    encode_into(k2, body)
-    body.append(_TAG_LIST)
-    body += _U32.pack(len(entries))
-    if len(entries) >= _FLAT_RUN_MIN:
-        mks, values = zip(*entries)
-        if set(map(type, mks)) == {int}:
-            value_types = set(map(type, values))
+def _finish_record(out: bytearray) -> bytes:
+    """Fill in the reserved 4-byte length prefix and freeze the record."""
+    _U32.pack_into(out, 0, len(out) - 4)
+    return bytes(out)
+
+
+def encode_chunk(k2: Any, entries: Sequence) -> bytes:
+    """Encode one chunk to its on-disk representation.
+
+    ``entries`` is a :class:`ColumnarEdges` or any sequence of
+    ``(mk, value)`` pairs.  Columns that still carry the encoded bytes
+    of exactly this ``k2`` and edge count (a chunk as decoded, or after
+    :meth:`ColumnarEdges.with_values`) are returned as they are; columns
+    with a proven ``value_type`` are packed without a type check; anything
+    else is type-checked and takes the flat or the generic path.  All of
+    them produce the same bytes for the same edges.
+    """
+    count = len(entries)
+    out = bytearray(4)  # the record length, filled in by _finish_record
+    out.append(_TAG_TUPLE)
+    out += _U32.pack(2)
+    encode_into(k2, out)
+    out.append(_TAG_LIST)
+    out += _U32.pack(count)
+    value_type = None
+    if type(entries) is ColumnarEdges:
+        raw = entries.raw
+        if (
+            raw is not None
+            and len(raw) == len(out) + _FLAT_EDGE_BYTES * count
+            and raw.startswith(out[4:], 4)
+        ):
+            return raw
+        mks, values, value_type = entries.mks, entries.values, entries.value_type
+        pairs = zip(mks, values)
+    else:
+        pairs = map(tuple, entries)
+        if count >= _FLAT_RUN_MIN:
+            mks, values = zip(*entries)
+    if count >= _FLAT_RUN_MIN:
+        if value_type is None:
+            value_type = _flat_value_type(mks, values)
+        if value_type is not None:
             try:
-                if value_types == {float}:
-                    body += _encode_flat_edges(mks, values, _TAG_FLOAT, "<%dd")
-                    return _U32.pack(len(body)) + bytes(body)
-                if value_types == {int}:
-                    body += _encode_flat_edges(mks, values, _TAG_INT, "<%dq")
-                    return _U32.pack(len(body)) + bytes(body)
+                _append_flat_edges(out, mks, values, value_type)
+                return _finish_record(out)
             except struct.error:
                 pass  # an int overflowed i64: the generic path reports it
-    for entry in entries:
-        encode_into(tuple(entry), body)
-    return _U32.pack(len(body)) + bytes(body)
+    for pair in pairs:
+        encode_into(pair, out)
+    return _finish_record(out)
 
 
-def _decode_flat_edges(mv: memoryview, start: int, count: int):
-    """Batch-decode ``count`` 23-byte-stride edges, or None on mismatch."""
+def _decode_flat_edges(
+    mv: memoryview, offset: int, start: int, count: int
+) -> Optional[ColumnarEdges]:
+    """Batch-decode ``count`` 23-byte-stride edges, or None on mismatch.
+
+    ``offset`` is where the chunk's record starts and ``start`` where its
+    edge run does; the run ends the record.
+    """
     end = start + _FLAT_EDGE_BYTES * count
     # Verify every constant byte position with strided view comparisons.
-    for rel, expected in enumerate(_EDGE_HEADER):
-        if mv[start + rel : end : 23] != bytes([expected]) * count:
+    for rel, byte in _EDGE_HEADER:
+        if mv[start + rel : end : 23] != byte * count:
             return None
-    value_tags = mv[start + 14 : end : 23]
-    if value_tags == bytes([_TAG_FLOAT]) * count:
-        flat = struct.unpack("<" + "6xq1xd" * count, mv[start:end])
-    elif value_tags == bytes([_TAG_INT]) * count:
-        flat = struct.unpack("<" + "6xq1xq" * count, mv[start:end])
-    else:
+    value_type = _FLAT_VALUE_TYPES.get(mv[start + 14])
+    if value_type is None:
         return None
-    return list(map(Edge, flat[0::2], flat[1::2]))
+    flat = _FLAT_VALUES[value_type]
+    if mv[start + 14 : end : 23] != flat.tag_byte * count:
+        return None
+    columns = struct.unpack("<" + flat.edge_format * count, mv[start:end])
+    return ColumnarEdges(columns[0::2], columns[1::2], bytes(mv[offset:end]), value_type)
 
 
-def decode_chunk(buf, offset: int = 0) -> Tuple[Any, List[Edge], int]:
+def decode_chunk(buf, offset: int = 0) -> Tuple[Any, ColumnarEdges, int]:
     """Decode one chunk from ``buf`` at ``offset``.
+
+    The edges own their memory: nothing in the result refers to ``buf``.
 
     Returns:
         ``(k2, entries, next_offset)``.
@@ -139,25 +321,24 @@ def decode_chunk(buf, offset: int = 0) -> Tuple[Any, List[Edge], int]:
             (count,) = _U32.unpack_from(mv, pos + 1)
             payload_start = pos + 5
             if count and end - payload_start == _FLAT_EDGE_BYTES * count:
-                entries = _decode_flat_edges(mv, payload_start, count)
+                entries = _decode_flat_edges(mv, offset, payload_start, count)
                 if entries is not None:
                     return k2, entries, end
     return _decode_chunk_generic(mv, offset)
 
 
-def _decode_chunk_generic(mv: memoryview, offset: int) -> Tuple[Any, List[Edge], int]:
+def _decode_chunk_generic(mv: memoryview, offset: int) -> Tuple[Any, ColumnarEdges, int]:
     k2, payload, next_offset = decode_record(mv, offset)
     if not isinstance(payload, list):
         raise SerializationError("chunk payload is not an edge list")
-    entries = []
     for item in payload:
         if not isinstance(item, tuple) or len(item) != 2:
             raise SerializationError("chunk edge is not an (mk, value) pair")
-        entries.append(Edge(item[0], item[1]))
-    return k2, entries, next_offset
+    mks, values = zip(*payload) if payload else ((), ())
+    return k2, ColumnarEdges(mks, values), next_offset
 
 
-def chunk_size(k2: Any, entries: List[Edge]) -> int:
+def chunk_size(k2: Any, entries: Sequence) -> int:
     """Encoded byte size of a chunk, computed without encoding it.
 
     Matches ``len(encode_chunk(k2, entries))`` exactly: the 4-byte record

@@ -59,6 +59,7 @@ from repro.common.errors import StoreClosedError, StoreError
 from repro.common.hashing import stable_hash
 from repro.common.kvpair import sort_key
 from repro.common.serialization import decode_many, encode_many
+from repro.mrbgraph.chunk import ColumnarEdges
 from repro.mrbgraph.compaction import CompactionSpec
 from repro.mrbgraph.graph import DeltaEdge, Edge
 from repro.mrbgraph.store import (
@@ -181,7 +182,7 @@ def router_from_spec(spec: Dict[str, Any]) -> ShardRouter:
 # they parallelize on every backend including processes.
 
 
-def _run_shard_build(pair: Tuple[MRBGStore, List[Tuple[Any, List[Edge]]]]) -> None:
+def _run_shard_build(pair: Tuple[MRBGStore, List[Tuple[Any, Sequence[Edge]]]]) -> None:
     """Build one shard's initial sorted batch (thread-level task)."""
     shard, chunks = pair
     shard.build(chunks)
@@ -189,7 +190,7 @@ def _run_shard_build(pair: Tuple[MRBGStore, List[Tuple[Any, List[Edge]]]]) -> No
 
 def _run_shard_merge(
     pair: Tuple[MRBGStore, List[Tuple[Any, List[DeltaEdge]]]],
-) -> List[Tuple[Any, List[Edge]]]:
+) -> List[Tuple[Any, ColumnarEdges]]:
     """Apply one shard's slice of a delta merge (thread-level task)."""
     shard, groups = pair
     return list(shard.merge_delta(groups))
@@ -534,7 +535,7 @@ class ShardedMRBGStore:
     def _route(self, key: Any) -> MRBGStore:
         return self._shards[self.router.shard_for(key)]
 
-    def build(self, sorted_chunks: Iterable[Tuple[Any, List[Edge]]]) -> None:
+    def build(self, sorted_chunks: Iterable[Tuple[Any, Sequence[Edge]]]) -> None:
         """Write the initial MRBGraph, one sorted batch per shard.
 
         Chunks are routed to their shards (relative order preserved, so
@@ -542,7 +543,7 @@ class ShardedMRBGStore:
         out on the execution backend.
         """
         self._check_open()
-        per_shard: List[List[Tuple[Any, List[Edge]]]] = [
+        per_shard: List[List[Tuple[Any, Sequence[Edge]]]] = [
             [] for _ in range(self.num_shards)
         ]
         for k2, entries in sorted_chunks:
@@ -566,12 +567,12 @@ class ShardedMRBGStore:
             shard.begin_merge(keys)
         self._in_session = True
 
-    def get_chunk(self, key: Any) -> Optional[List[Edge]]:
+    def get_chunk(self, key: Any) -> Optional[ColumnarEdges]:
         """Retrieve the latest preserved chunk from ``key``'s shard."""
         self._check_open()
         return self._route(key).get_chunk(key)
 
-    def put_chunk(self, key: Any, entries: List[Edge]) -> None:
+    def put_chunk(self, key: Any, entries: Sequence[Edge]) -> None:
         """Stage the updated chunk in its shard's append buffer."""
         self._check_open()
         if not self._in_session:
@@ -597,11 +598,12 @@ class ShardedMRBGStore:
     def merge_delta(
         self,
         delta_by_key: Iterable[Tuple[Any, List[DeltaEdge]]],
-    ) -> Iterator[Tuple[Any, List[Edge]]]:
+    ) -> Iterator[Tuple[Any, ColumnarEdges]]:
         """Join a sorted delta MRBGraph against the store (§3.3–3.4).
 
-        The delta groups are routed to their shards and each shard's
-        slice merges as an independent task on the execution backend —
+        The delta groups are routed to their shards — each key once; the
+        shard ids are kept for the way back — and each shard's slice
+        merges as an independent task on the execution backend, so
         independent shards apply their deltas concurrently.  Results are
         re-interleaved into the caller's original (sorted) key order, so
         downstream Reduce re-runs observe exactly the single-store
@@ -614,8 +616,10 @@ class ShardedMRBGStore:
         per_shard: List[List[Tuple[Any, List[DeltaEdge]]]] = [
             [] for _ in range(self.num_shards)
         ]
-        for k2, edges in delta_list:
-            per_shard[self.router.shard_for(k2)].append((k2, edges))
+        shard_for = self.router.shard_for
+        routed = [shard_for(k2) for k2, _ in delta_list]
+        for sid, group in zip(routed, delta_list):
+            per_shard[sid].append(group)
 
         sids = [sid for sid, groups in enumerate(per_shard) if groups]
         pairs = [(self._shards[sid], per_shard[sid]) for sid in sids]
@@ -655,8 +659,8 @@ class ShardedMRBGStore:
             self.last_retry_schedule = None
 
         cursors = {sid: iter(res) for sid, res in zip(sids, results)}
-        for k2, _ in delta_list:
-            yield next(cursors[self.router.shard_for(k2)])
+        for sid in routed:
+            yield next(cursors[sid])
 
     # ------------------------------------------------------------------ #
     # maintenance                                                        #

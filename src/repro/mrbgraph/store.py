@@ -26,15 +26,15 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.cluster.costmodel import CostModel
 from repro.common import config
-from repro.common.errors import StoreClosedError, StoreError
+from repro.common.errors import ChunkKeyMismatch, StoreClosedError, StoreError
 from repro.common.kvpair import sort_key
-from repro.common.serialization import decode_many, encode_many
+from repro.common.serialization import decode_many, encode, encode_many
 from repro.faults.injection import CrashDirective, InjectedCrash
-from repro.mrbgraph.chunk import decode_chunk, encode_chunk
+from repro.mrbgraph.chunk import ColumnarEdges, decode_chunk, encode_chunk
 from repro.mrbgraph.compaction import (
     CompactionSpec,
     CompactionStats,
@@ -52,7 +52,6 @@ from repro.mrbgraph.wal import (
     WAL_FILE,
     WriteAheadLog,
     atomic_write,
-    encode_wal_record,
     fsync_directory,
     recover_from_records,
 )
@@ -550,21 +549,20 @@ class MRBGStore:
     def _wal_append(self, op: int, *fields: Any) -> None:
         """Journal one record (staged in memory until :meth:`_wal_flush`).
 
-        The ``wal-append`` crash site lives here: a firing fault hook
-        flushes the staged records plus the directive's byte-offset
-        prefix of this record — the torn tail replay must survive — and
-        kills the store.
+        The ``wal-append`` crash site lives here: the record is framed
+        once, by the log, and a firing fault hook then flushes the
+        records staged before it plus the directive's byte-offset prefix
+        of this one — the torn tail replay must survive — and kills the
+        store.
         """
         if self._wal is None:
             return
+        nbytes = self._wal.append(op, *fields)
         if self.fault_hook is not None:
-            raw = encode_wal_record(op, *fields)
-            directive = self.fault_hook("wal-append", self.shard_id, len(raw))
+            directive = self.fault_hook("wal-append", self.shard_id, nbytes)
             if directive is not None:
-                upto = directive.byte_offset if directive.byte_offset else 0
-                self._wal.flush_partial(raw, min(upto, len(raw)))
+                self._wal.flush_torn(min(directive.byte_offset or 0, nbytes))
                 self._crash("wal-append", directive)
-        self._wal.append(op, *fields)
         self.metrics.wal_appends += 1
 
     def _wal_flush(self) -> None:
@@ -621,7 +619,7 @@ class MRBGStore:
     # building and merging                                               #
     # ------------------------------------------------------------------ #
 
-    def build(self, sorted_chunks: Iterable[Tuple[Any, List[Edge]]]) -> None:
+    def build(self, sorted_chunks: Iterable[Tuple[Any, Sequence[Edge]]]) -> None:
         """Write the initial MRBGraph as the first sorted batch."""
         self._check_open()
         self._begin_session()
@@ -658,11 +656,18 @@ class MRBGStore:
         self._pending_index = {}
         self._pending_deletes = []
 
-    def get_chunk(self, key: Any) -> Optional[List[Edge]]:
+    def get_chunk(self, key: Any) -> Optional[ColumnarEdges]:
         """Retrieve the latest preserved chunk for ``key`` (None if absent).
 
         Reads go through the read cache; on a miss the window policy plans
-        a physical read that may prefetch upcoming queried chunks.
+        a physical read that may prefetch upcoming queried chunks.  Hit or
+        miss, the chunk is decoded once, at its relative offset in the
+        window view, into edges that own their memory — the window is
+        neither copied nor kept alive by what is returned.
+
+        Raises:
+            ChunkKeyMismatch: the chunk at ``key``'s index position was
+                written for a different key.
         """
         self._check_open()
         loc = self._index.get(key)
@@ -670,21 +675,23 @@ class MRBGStore:
             return None
         slot = loc.batch if self.policy.per_batch_windows else 0
         window = self._windows.get(slot)
-        if window is not None:
-            start, view = window
-            if start <= loc.offset and loc.offset + loc.length <= start + len(view):
-                # Hit: decode lazily out of the cached window view — the
-                # chunk is sliced at its relative offset, never copied and
-                # never re-read from the start of the window.
-                self.metrics.cache_hits += 1
-                _, entries, _ = decode_chunk(view, loc.offset - start)
-                return entries
-        self.metrics.cache_misses += 1
-        upcoming = self._upcoming_in_batch(key, loc)
-        plan = self.policy.plan(loc, upcoming, self._file_size)
-        view = memoryview(self._physical_read(plan.offset, plan.nbytes))
-        self._windows[slot] = (plan.offset, view)
-        _, entries, _ = decode_chunk(view, loc.offset - plan.offset)
+        if (
+            window is not None
+            and window[0] <= loc.offset
+            and loc.offset + loc.length <= window[0] + len(window[1])
+        ):
+            self.metrics.cache_hits += 1
+        else:
+            self.metrics.cache_misses += 1
+            upcoming = self._upcoming_in_batch(key, loc)
+            plan = self.policy.plan(loc, upcoming, self._file_size)
+            window = (plan.offset, memoryview(self._physical_read(plan.offset, plan.nbytes)))
+            self._windows[slot] = window
+        start, view = window
+        k2, entries, _ = decode_chunk(view, loc.offset - start)
+        # ``!=`` alone would reject a NaN key read back from its own chunk.
+        if k2 != key and encode(k2) != encode(key):
+            raise ChunkKeyMismatch(key, k2)
         return entries
 
     def _upcoming_in_batch(self, key: Any, loc: ChunkLocation) -> List[ChunkLocation]:
@@ -703,13 +710,15 @@ class MRBGStore:
         self.metrics.read_time_s += self.cost_model.store_read_time(len(data))
         return data
 
-    def put_chunk(self, key: Any, entries: List[Edge]) -> None:
+    def put_chunk(self, key: Any, entries: Sequence[Edge]) -> None:
         """Stage the updated chunk for ``key`` in the append buffer.
 
-        The chunk is encoded exactly once, here; that single buffer
-        carries through the append buffer, the index entry length and
-        the flushed write (``chunk_size`` exists for callers that need
-        the size without a buffer at all).
+        The chunk is encoded at most once, here — edges that still carry
+        ``key``'s encoded bytes (a replace-only merge patched them in
+        place) are appended as they are; that single buffer carries
+        through the journal record, the append buffer, the index entry
+        length and the flushed write (``chunk_size`` exists for callers
+        that need the size without a buffer at all).
         """
         self._check_open()
         if not self._in_session:
@@ -785,14 +794,14 @@ class MRBGStore:
     def merge_delta(
         self,
         delta_by_key: Iterable[Tuple[Any, List[DeltaEdge]]],
-    ) -> Iterator[Tuple[Any, List[Edge]]]:
+    ) -> Iterator[Tuple[Any, ColumnarEdges]]:
         """Join a sorted delta MRBGraph against the store (§3.3–3.4).
 
         For each affected K2 (in sorted order) the preserved chunk is
         retrieved, the delta's insertions/deletions/updates are applied,
         the merged chunk is re-appended (or deleted when it became empty),
-        and the merged edge list is yielded so the caller can re-run the
-        Reduce instance.
+        and the merged edges are yielded so the caller can re-run the
+        Reduce instance on their value column.
         """
         delta_list = list(delta_by_key)
         self.begin_merge([k2 for k2, _ in delta_list])

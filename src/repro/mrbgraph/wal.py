@@ -57,7 +57,7 @@ from dataclasses import dataclass
 from typing import Any, Iterator, List, Optional, Tuple
 
 from repro.common.errors import SerializationError, WALCorruptError
-from repro.common.serialization import as_view, decode, encode
+from repro.common.serialization import as_view, decode, encode_into
 
 #: On-disk WAL file name inside a store directory.
 WAL_FILE = "mrbg.wal"
@@ -91,7 +91,8 @@ def encode_wal_record(op: int, *fields: Any) -> bytes:
     Pure function of its arguments, so the wire format is pinned by
     golden-file tests (``tests/golden/wal_records.json``).
     """
-    payload = encode((op, *fields))
+    payload = bytearray()
+    encode_into((op, *fields), payload)
     return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 
@@ -163,7 +164,7 @@ class WriteAheadLog:
     Created lazily: the file appears on the first append, so opening a
     legacy store directory read-only never creates one.  Crash injection
     (see :mod:`repro.faults.injection`) tears an append at a byte offset
-    via :meth:`flush_partial` — producing exactly the partial tail
+    via :meth:`flush_torn` — producing exactly the partial tail
     replay must survive.
     """
 
@@ -171,7 +172,6 @@ class WriteAheadLog:
         self.path = path
         self._fh = None
         self._pending: List[bytes] = []
-        self._pending_len = 0
         #: bytes appended (and flushed or pending) since construction.
         self.bytes_appended = 0
 
@@ -193,7 +193,6 @@ class WriteAheadLog:
         """
         raw = encode_wal_record(op, *fields)
         self._pending.append(raw)
-        self._pending_len += len(raw)
         self.bytes_appended += len(raw)
         return len(raw)
 
@@ -206,16 +205,16 @@ class WriteAheadLog:
         fh.write(raw)
         fh.flush()
         self._pending = []
-        self._pending_len = 0
         return len(raw)
 
-    def flush_partial(self, final_record: bytes, upto: int) -> None:
-        """Flush pending records, then the first ``upto`` bytes of one more.
+    def flush_torn(self, upto: int) -> None:
+        """Flush all staged records but the last, then ``upto`` bytes of it.
 
         The crash-injection path: a fault directive at ``wal-append``
-        tears the record being appended at a byte offset, leaving exactly
+        tears the record just staged at a byte offset, leaving exactly
         the partial tail a killed process would.
         """
+        final_record = self._pending.pop()
         self.flush()
         if upto > 0:
             fh = self._handle()
@@ -231,7 +230,6 @@ class WriteAheadLog:
         survive.  Returns the bytes written.
         """
         self._pending = []
-        self._pending_len = 0
         if self._fh is not None:
             self._fh.close()
             self._fh = None
@@ -259,7 +257,6 @@ class WriteAheadLog:
         lost, exactly like a real kill between append and flush.
         """
         self._pending = []
-        self._pending_len = 0
         if self._fh is not None:
             self._fh.close()
             self._fh = None
