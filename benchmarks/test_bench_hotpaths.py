@@ -1,5 +1,6 @@
-"""Benchmark — hot paths: codec MB/s, store merge ops/s, shuffle records/s,
-and fig8 end-to-end host wall-clock.
+"""Benchmark — hot paths: codec MB/s, store merge ops/s, shuffle records/s
+(distinct tuple keys, and duplicate-heavy string keys through the grouped
+map-side spill), and fig8 end-to-end host wall-clock.
 
 This is the perf-regression harness started by the hot-path overhaul PR:
 it writes ``BENCH_hotpaths.json`` at the repository root so the perf
@@ -32,8 +33,12 @@ import tempfile
 import time
 
 from benchmarks.conftest import bench_out_path, run_once
+from repro.cluster.metrics import Counters
+from repro.common.hashing import partition_for
 from repro.common.kvpair import Op, merge_sorted_runs, sort_records
+from repro.common.sizeof import records_size
 from repro.experiments.fig8_overall import run_workload
+from repro.mapreduce.engine import partition_and_sort
 from repro.mrbgraph.chunk import decode_chunk, encode_chunk
 from repro.mrbgraph.graph import DeltaEdge, Edge
 from repro.mrbgraph.store import MRBGStore
@@ -284,6 +289,44 @@ def test_bench_shuffle(benchmark):
     _record("shuffle", payload)
     benchmark.extra_info.update(payload)
     print(f"\nshuffle: {payload['records_per_s']} records/s")
+
+
+def test_bench_shuffle_grouped(benchmark):
+    """The WordCount shape: 200 k ``(word, 1)`` pairs over a 5 k-word
+    Zipf vocabulary, spilled by 7 map tasks and merged by 4 reducers."""
+    rng = random.Random(42)
+    vocab = ["w%04d" % i for i in range(5000)]
+    weights = [1.0 / (rank + 1) for rank in range(len(vocab))]
+    words = rng.choices(vocab, weights, k=200_000)
+    tasks = [[(word, 1) for word in words[i::7]] for i in range(7)]
+    reducers = 4
+
+    def shuffle_round():
+        spills = [
+            partition_and_sort(task, reducers, partition_for, None, Counters())
+            for task in tasks
+        ]
+        merged = [
+            merge_sorted_runs([parts[r] for parts, _ in spills if r in parts])
+            for r in range(reducers)
+        ]
+        return spills, merged
+
+    spills, merged = run_once(benchmark, shuffle_round)
+    assert sum(map(len, merged)) == len(words)
+    assert sum(sum(nbytes.values()) for _, nbytes in spills) == sum(map(records_size, merged))
+    best_s = _throughput(shuffle_round, reps=3)
+    payload = {
+        "records": len(words),
+        "distinct_keys": len(set(words)),
+        "records_per_s": round(len(words) / best_s, 1),
+        "pre_pr_baseline": _baseline("shuffle_grouped"),
+    }
+    _record("shuffle_grouped", payload)
+    benchmark.extra_info.update(
+        {k: v for k, v in payload.items() if not isinstance(v, dict)}
+    )
+    print(f"\nshuffle (grouped spill): {payload['records_per_s']} records/s")
 
 
 def test_bench_fig8_end_to_end(benchmark, bench_scale):

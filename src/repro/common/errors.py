@@ -56,6 +56,24 @@ class InvalidJobConf(JobError):
     """A job configuration failed validation before execution."""
 
 
+class PartitionOutOfRange(JobError):
+    """A partitioner returned an index outside ``range(num_partitions)``.
+
+    The shuffle only ever fetches partitions ``0 .. num_partitions - 1``,
+    so records filed under any other index would silently vanish from
+    the job's output; the map-side spill fails instead.
+    """
+
+    def __init__(self, key: object, partition: object, num_partitions: int) -> None:
+        super().__init__(
+            f"partitioner sent key {key!r} to partition {partition!r}, "
+            f"outside range({num_partitions})"
+        )
+        self.key = key
+        self.partition = partition
+        self.num_partitions = num_partitions
+
+
 class TaskFailure(JobError):
     """A simulated task failure (used by the fault-injection machinery)."""
 

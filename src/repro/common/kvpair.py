@@ -14,9 +14,10 @@ new one, exactly as the paper prescribes.
 from __future__ import annotations
 
 import enum
-import heapq
 import operator as _operator
-from typing import Any, Iterable, Iterator, List, NamedTuple, Sequence, Tuple
+from collections import defaultdict
+from itertools import chain
+from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 
 class Op(enum.Enum):
@@ -118,12 +119,13 @@ def record_sort_key(record: Sequence) -> Tuple:
 
 _ITEM0 = _operator.itemgetter(0)
 _NUMERIC_KINDS = frozenset((int, float))
+_INT_ONLY = frozenset((int,))
 _STR_ONLY = frozenset((str,))
 _BYTES_ONLY = frozenset((bytes,))
 _TUPLE_ONLY = frozenset((tuple,))
 
 
-def _natural_order_ok(keys: list) -> bool:
+def _natural_order_ok(keys: list, exact: bool = False) -> bool:
     """True when Python's native ordering of ``keys`` equals sort_key order.
 
     Holds for all-numeric (``bool`` excluded: it ranks below numbers in
@@ -132,19 +134,47 @@ def _natural_order_ok(keys: list) -> bool:
     recursively satisfy the same condition.  The scan is a handful of
     C-level ``set(map(type, …))`` passes — far cheaper than computing
     :func:`sort_key` per record.
+
+    With ``exact`` the numeric case narrows to all-``int``, which proves
+    more: ``==``-equal keys are then the same value of the same class, so
+    nothing downstream (partitioner, :func:`sort_key`, codec, sizeof) can
+    tell them apart.  ``float`` fails that (``-0.0 == 0.0`` encode
+    differently, NaN equals nothing) and so do mixed kinds
+    (``1 == 1.0 == True``).
     """
     kinds = set(map(type, keys))
-    if kinds <= _NUMERIC_KINDS or kinds == _STR_ONLY or kinds == _BYTES_ONLY:
+    numeric = _INT_ONLY if exact else _NUMERIC_KINDS
+    if kinds <= numeric or kinds == _STR_ONLY or kinds == _BYTES_ONLY:
         return True
     if kinds == _TUPLE_ONLY:
         lengths = set(map(len, keys))
         if len(lengths) != 1:
             return False
         return all(
-            _natural_order_ok(list(map(_operator.itemgetter(j), keys)))
+            _natural_order_ok(list(map(_operator.itemgetter(j), keys)), exact)
             for j in range(lengths.pop())
         )
     return False
+
+
+def group_records(records: Sequence[Sequence]) -> Optional[Dict[Any, list]]:
+    """Group records by key when a dict can do so losslessly, else ``None``.
+
+    Returns ``key -> [records]`` with keys in first-arrival order and each
+    key's records in arrival order.  Grouping through a dict merges
+    ``==``-equal keys, which is only safe when equal keys are
+    indistinguishable; the exact type scan of :func:`_natural_order_ok`
+    proves that for a single class among ``int``/``str``/``bytes`` and
+    same-arity tuples of those.  Any other key set returns ``None`` and
+    the caller keeps working per record.
+    """
+    keys = list(map(_ITEM0, records))
+    if not _natural_order_ok(keys, exact=True):
+        return None
+    groups: Dict[Any, list] = defaultdict(list)
+    for key, record in zip(keys, records):
+        groups[key].append(record)
+    return dict(groups)
 
 
 def sort_records(records: Iterable[Sequence]) -> list:
@@ -169,22 +199,14 @@ def merge_sorted_runs(runs: Sequence[Sequence]) -> List:
     """Merge key-sorted record runs into one key-sorted list.
 
     Same order and stability as ``heapq.merge`` keyed by
-    :func:`record_sort_key` (ties order by run then position); when the
-    combined type scan proves native key ordering matches
-    :func:`sort_key` ordering, the merge compares keys extracted by a
-    C-level getter instead of calling :func:`sort_key` per record.
+    :func:`record_sort_key` (ties order by run then position): the runs
+    are concatenated and stable-sorted once by :func:`sort_records`, whose
+    timsort gallops over the pre-sorted runs in C instead of stepping a
+    Python-level heap once per record.  (NaN keys have no order at all;
+    with them the result is as unspecified as ``heapq.merge``'s was.)
     """
-    runs = [run for run in runs if run]
-    if not runs:
-        return []
-    if len(runs) == 1:
-        return list(runs[0])
-    all_keys: list = []
-    for run in runs:
-        all_keys.extend(map(_ITEM0, run))
-    if _natural_order_ok(all_keys):
-        return list(heapq.merge(*runs, key=_ITEM0))
-    return list(heapq.merge(*runs, key=record_sort_key))
+    merged = list(chain.from_iterable(runs))
+    return merged if len(runs) <= 1 else sort_records(merged)
 
 
 def sorted_by_key(pairs: Iterable[Tuple[Any, Any]]) -> list:

@@ -17,10 +17,14 @@ through to the original chain with identical results.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Tuple
+from operator import itemgetter
+from typing import Any, Iterable, Sequence, Tuple
 
 _LEN_PREFIX = 4  # u32 length prefix on records
 _TAG = 1
+#: Bytes of a record besides its key and value: length prefix + pair header.
+_RECORD_OVERHEAD = _LEN_PREFIX + _TAG + 4
+_ITEM1 = itemgetter(1)
 
 
 def _str_size(value: str) -> int:
@@ -105,9 +109,40 @@ def record_size(key: Any, value: Any) -> int:
     val_size = sizes.get(value.__class__)
     if val_size is None:
         val_size = value_size(value)
-    return _LEN_PREFIX + _TAG + 4 + key_size + val_size
+    return _RECORD_OVERHEAD + key_size + val_size
 
 
 def records_size(pairs: Iterable[Tuple[Any, Any]]) -> int:
     """Total encoded size of a stream of ``(key, value)`` records."""
     return sum(record_size(key, value) for key, value in pairs)
+
+
+def values_size(values: Sequence) -> int:
+    """Total :func:`value_size` of ``values``.
+
+    One multiplication when a C-level type scan finds a single
+    constant-size scalar class (the ``(word, 1)`` shape), else a sum.
+    """
+    kinds = set(map(type, values))
+    if len(kinds) == 1:
+        scalar = _SCALAR_SIZES.get(kinds.pop())
+        if scalar is not None:
+            return scalar * len(values)
+    return sum(map(value_size, values))
+
+
+def grouped_records_size(
+    groups: Iterable[Tuple[Any, Sequence[Tuple[Any, Any]]]],
+) -> int:
+    """:func:`records_size` of key-grouped records, sizing each key once.
+
+    ``groups`` yields ``(key, records)`` where every record of a group
+    carries that group's key; the total equals ``records_size`` over the
+    concatenated records.
+    """
+    total = 0
+    values: list = []
+    for key, records in groups:
+        total += len(records) * (_RECORD_OVERHEAD + value_size(key))
+        values.extend(map(_ITEM1, records))
+    return total + values_size(values)

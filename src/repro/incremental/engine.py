@@ -401,17 +401,17 @@ class IncrMREngine(MapReduceEngine):
         reducer_probe = jobconf.reducer()
         if not isinstance(reducer_probe, AccumulatorReducer):
             raise InvalidJobConf("preserved state is accumulator mode")
-        for _, (_, op) in self.dfs.read(delta_path):
-            if op != Op.INSERT.value:
+        # Strip the op marker so the user mapper sees plain records; a
+        # delete fails the job here, before any state is touched.
+        plain_records: List[Tuple[Any, Any]] = []
+        insert_tag = Op.INSERT.value
+        for k1, (v1, op) in self.dfs.read(delta_path):
+            if op != insert_tag:
                 raise JobError(
                     "accumulator incremental processing requires an "
                     "insert-only delta (§3.5)"
                 )
-
-        # Strip the op marker so the user mapper sees plain records.
-        plain_records = [
-            (k1, v1) for k1, (v1, _) in self.dfs.read(delta_path)
-        ]
+            plain_records.append((k1, v1))
         staging = f"{delta_path}.plain"
         self.dfs.write(staging, plain_records, overwrite=True)
         splits = self.splits_for_inputs([staging])
@@ -452,7 +452,7 @@ class IncrMREngine(MapReduceEngine):
             sort_loads[worker] += cost.sort_time(len(merged))
 
             reducer = jobconf.reducer()
-            values_processed = 0
+            groups = 0
             for k2, values in group_sorted(merged):
                 acc = values[0]
                 for value in values[1:]:
@@ -460,10 +460,10 @@ class IncrMREngine(MapReduceEngine):
                 old = state.acc_outputs.get(k2)
                 new = acc if old is None else reducer.accumulate(old, acc)
                 state.acc_outputs[k2] = new
-                values_processed += len(values)
                 changed_output_bytes += record_size(k2, new)
-                metrics.counters.add("affected_reduce_instances", 1)
-            reduce_loads[worker] += cost.cpu_time(values_processed, reducer.cpu_weight)
+                groups += 1
+            metrics.counters.add("affected_reduce_instances", groups)
+            reduce_loads[worker] += cost.cpu_time(len(merged), reducer.cpu_weight)
 
         metrics.times.shuffle = max(shuffle_loads)
         metrics.times.sort = max(sort_loads)

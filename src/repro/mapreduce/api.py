@@ -100,7 +100,11 @@ class IdentityReducer(Reducer):
             ctx.emit(key, value)
 
 
-#: A partitioner maps ``(key, num_partitions)`` to a partition index.
+#: A partitioner maps ``(key, num_partitions)`` to a partition index in
+#: ``range(num_partitions)``.  Like Hadoop's, it must be a pure function of
+#: its two arguments: the map-side spill calls it once per distinct key, not
+#: once per record, and fails with
+#: :class:`repro.common.errors.PartitionOutOfRange` on any other index.
 Partitioner = Callable[[Any, int], int]
 
 default_partitioner: Partitioner = partition_for

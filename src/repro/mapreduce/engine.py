@@ -26,18 +26,24 @@ whether tasks ran serially, on threads or on processes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.metrics import Counters, JobMetrics, StageTimes
 from repro.cluster.scheduler import TaskSpec, schedule_stage
-from repro.common.kvpair import group_sorted, merge_sorted_runs, sort_records
-from repro.common.sizeof import record_size
+from repro.common.errors import PartitionOutOfRange
+from repro.common.kvpair import group_records, group_sorted, merge_sorted_runs, sort_records
+from repro.common.sizeof import grouped_records_size, record_size, records_size
 from repro.dfs.filesystem import Block, DistributedFS
 from repro.execution import ExecutorSelector, ExecutorSpec
 from repro.mapreduce.api import Context, Mapper, Partitioner, Reducer
 from repro.mapreduce.job import JobConf, JobResult, MapperFactory, ReducerFactory
 from repro.resilience.policy import RetryPolicy
+
+_ITEM1 = itemgetter(1)
+
 
 #: A source of map input: records plus their physical placement metadata.
 @dataclass
@@ -166,19 +172,41 @@ def partition_and_sort(
     combiner_factory: Optional[ReducerFactory],
     counters: Counters,
 ) -> Tuple[Dict[int, List[Tuple[Any, Any]]], Dict[int, int]]:
-    """Map-side spill: partition, key-sort and (optionally) combine."""
+    """Map-side spill: partition, key-sort and (optionally) combine.
+
+    Partitioning, ordering and key sizing depend on the key alone, so they
+    run once per *unit*: a ``(key, [records])`` group per distinct key
+    when :func:`group_records` proves grouping lossless, else each record
+    on its own.  Either way a partition's units are stable-sorted by key
+    and flatten to the same ``(key, value)`` list, values of one key in
+    arrival order and partitions in first-seen order.
+
+    Raises:
+        PartitionOutOfRange: the partitioner left ``range(num_reducers)``.
+    """
+    groups = group_records(emitted)
+    units_by_part: Dict[int, list] = {}
+    for unit in emitted if groups is None else groups.items():
+        units_by_part.setdefault(partitioner(unit[0], num_reducers), []).append(unit)
+    for part, units in units_by_part.items():
+        if part not in range(num_reducers):
+            raise PartitionOutOfRange(units[0][0], part, num_reducers)
+
     partitions: Dict[int, List[Tuple[Any, Any]]] = {}
-    for key, value in emitted:
-        part = partitioner(key, num_reducers)
-        partitions.setdefault(part, []).append((key, value))
     partition_bytes: Dict[int, int] = {}
-    for part, pairs in partitions.items():
-        pairs = sort_records(pairs)
-        partitions[part] = pairs
+    for part, units in units_by_part.items():
+        units = sort_records(units)
+        if groups is None:
+            pairs = units
+        else:
+            pairs = list(chain.from_iterable(map(_ITEM1, units)))
         if combiner_factory is not None:
             pairs = _apply_combiner(combiner_factory, pairs, counters)
-            partitions[part] = pairs
-        partition_bytes[part] = sum(record_size(k, v) for k, v in pairs)
+        if groups is None or combiner_factory is not None:
+            partition_bytes[part] = records_size(pairs)
+        else:
+            partition_bytes[part] = grouped_records_size(units)
+        partitions[part] = pairs
     return partitions, partition_bytes
 
 

@@ -18,7 +18,8 @@ order.  Three families are provided:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator, List, NamedTuple
+from collections import deque
+from typing import Any, Callable, Deque, Iterable, Iterator, List, NamedTuple
 
 from repro.common.errors import StreamSourceError
 from repro.common.kvpair import DeltaRecord
@@ -63,6 +64,10 @@ class ReplaySource(DeltaSource):
     appends more records to the recording; they arrive on the same
     fixed-rate schedule and are picked up by the next pass.
 
+    A record is released as it is yielded, so the source holds only the
+    part of the recording still to come: a long-running pipeline fed
+    through ``extend`` stays flat in memory.
+
     Args:
         records: the delta records, in stream order.
         rate: arrival rate in records per simulated second; record ``i``
@@ -78,22 +83,26 @@ class ReplaySource(DeltaSource):
     ) -> None:
         if rate <= 0:
             raise StreamSourceError("replay rate must be positive")
-        self.records = list(records)
+        #: records not yet yielded, in stream order.
+        self.pending: Deque[DeltaRecord] = deque(records)
         self.rate = rate
         self.start_s = start_s
-        self._position = 0
+        # stream index of ``pending[0]``: arrival times count every record
+        # ever yielded, not the ones still held.
+        self._next_index = 0
 
     def extend(self, records: Iterable[DeltaRecord]) -> None:
         """Append more records to the recording (arrive after the rest)."""
-        self.records.extend(records)
+        self.pending.extend(records)
 
     def events(self) -> Iterator[ArrivedRecord]:
         """Yield the recorded records at the fixed rate, resuming."""
         gap = 1.0 / self.rate
-        while self._position < len(self.records):
-            i = self._position
-            self._position += 1
-            yield ArrivedRecord(self.records[i], self.start_s + i * gap)
+        pending = self.pending
+        while pending:
+            i = self._next_index
+            self._next_index += 1
+            yield ArrivedRecord(pending.popleft(), self.start_s + i * gap)
 
 
 class DFSTailSource(DeltaSource):

@@ -166,8 +166,10 @@ class TestAccumulatorPath:
                        inputs=["/docs"], output="/wc", num_reducers=2)
         _, state = engine.run_initial(conf, accumulator=True)
         dfs.write("/d", delta_to_dfs_records([insert(2, "a c c")]))
-        engine.run_incremental(conf, "/d", state)
+        result = engine.run_incremental(conf, "/d", state)
         assert dict(dfs.read_all("/wc")) == {"a": 3, "b": 2, "c": 3}
+        # one affected Reduce instance per distinct delta K2 ("a" and "c").
+        assert result.metrics.counters.get("affected_reduce_instances") == 2
         state.cleanup()
 
     def test_accumulator_requires_insert_only(self):
@@ -177,9 +179,14 @@ class TestAccumulatorPath:
         conf = JobConf(name="wc", mapper=TokenMapper, reducer=SumReducer,
                        inputs=["/docs"], output="/wc", num_reducers=2)
         _, state = engine.run_initial(conf, accumulator=True)
-        dfs.write("/d", delta_to_dfs_records([delete(0, "a")]))
+        # the delete comes after an insert: the job must still fail before
+        # it stages or folds anything.
+        dfs.write("/d", delta_to_dfs_records([insert(1, "a b"), delete(0, "a")]))
+        before = dict(state.acc_outputs)
         with pytest.raises(JobError):
             engine.run_incremental(conf, "/d", state)
+        assert state.acc_outputs == before
+        assert not dfs.exists("/d.plain")
         state.cleanup()
 
     def test_accumulator_requires_accumulator_reducer(self):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import heapq
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +13,7 @@ from repro.common.kvpair import (
     DeltaRecord,
     Op,
     delete,
+    group_records,
     group_sorted,
     insert,
     merge_sorted_runs,
@@ -115,22 +119,70 @@ class TestProperties:
         assert sorted(flat) == sorted(v for _, v in pairs)
 
 
+#: Key generators covering every branch of the shuffle's type scans.
+KEY_STYLES = {
+    "ints": lambda rng: rng.randrange(20),
+    "floats": lambda rng: rng.random(),
+    "strings": lambda rng: "k%d" % rng.randrange(12),
+    "mixed_scalars": lambda rng: rng.choice(
+        [None, True, False, 3, 2.5, "s", b"b"]
+    ),
+    "tuples": lambda rng: (rng.randrange(5), "x%d" % rng.randrange(4)),
+    "bool_int_mix": lambda rng: rng.choice([True, False, 0, 1, 2]),
+    "nested_tuples": lambda rng: ((rng.randrange(3),), rng.random() < 0.5),
+    "ragged_tuples": lambda rng: tuple(range(rng.randrange(3))),
+}
+
+class _Id(int):
+    """An ``int`` subclass: equal to plain ints, but not provably so."""
+
+
+_NAN = float("nan")
+
+#: Hand-picked key lists where ``==``-equal keys are *not* interchangeable
+#: (or nothing orders at all), plus the degenerate shapes.
+EDGE_KEYS = {
+    "signed_zeros": [0.0, -0.0, 1.0, -0.0, 0.0, -1.0],
+    "int_float_bool_collisions": [1, 1.0, True, 0, False, 0.0, 1, True, 1.0],
+    "tuple_int_vs_float": [(1, "a"), (1.0, "a"), (2, "b"), (1, "a"), (1.0, "a")],
+    "duplicate_keys": ["b", "a", "b", "b", "c", "a", "b"],
+    "bytes": [b"b", b"a", b"", b"b", b"ab"],
+    "int_subclass": [_Id(2), _Id(1), _Id(2), _Id(0), _Id(1)],
+    "empty": [],
+    "single": ["only"],
+}
+
+
+def keyed_records(seed: int = 13, size: int = 200):
+    """``(case name, [(key, value)])`` over every key style and edge list;
+    values are the arrival index, so any reordering of one key's values
+    shows."""
+    cases = []
+    for style in sorted(KEY_STYLES):
+        rng = random.Random(seed)
+        cases.append((style, [(KEY_STYLES[style](rng), i) for i in range(size)]))
+    for name, keys in sorted(EDGE_KEYS.items()):
+        cases.append((name, [(key, i) for i, key in enumerate(keys)]))
+    return cases
+
+
+def exact(value) -> str:
+    """A form under which ``1``, ``1.0``, ``True``, ``-0.0`` and ``0.0``
+    differ (``==`` on the lists themselves would conflate them) and dict
+    insertion order counts."""
+    return repr(value)
+
+
+def reference_merge(runs):
+    """The merge the library used to run: a heap keyed by ``sort_key``."""
+    return list(heapq.merge(*runs, key=lambda rec: sort_key(rec[0])))
+
+
 class TestSortHelpers:
     """The shuffle's sort/merge helpers must order exactly like the
     reference ``sort_key``-keyed implementations, for every key mix."""
 
-    KEY_STYLES = {
-        "ints": lambda rng: rng.randrange(20),
-        "floats": lambda rng: rng.random(),
-        "strings": lambda rng: "k%d" % rng.randrange(12),
-        "mixed_scalars": lambda rng: rng.choice(
-            [None, True, False, 3, 2.5, "s", b"b"]
-        ),
-        "tuples": lambda rng: (rng.randrange(5), "x%d" % rng.randrange(4)),
-        "bool_int_mix": lambda rng: rng.choice([True, False, 0, 1, 2]),
-        "nested_tuples": lambda rng: ((rng.randrange(3),), rng.random() < 0.5),
-        "ragged_tuples": lambda rng: tuple(range(rng.randrange(3))),
-    }
+    KEY_STYLES = KEY_STYLES
 
     @pytest.mark.parametrize("style", sorted(KEY_STYLES))
     def test_sort_records_matches_reference(self, style):
@@ -152,6 +204,26 @@ class TestSortHelpers:
         reference = list(heapq.merge(*runs, key=lambda rec: sort_key(rec[0])))
         assert merge_sorted_runs(runs) == reference
 
+    @pytest.mark.parametrize("case", [name for name, _ in keyed_records()])
+    @pytest.mark.parametrize("num_runs", [1, 3, 7])
+    def test_merge_is_the_heap_merge(self, case, num_runs):
+        records = dict(keyed_records(seed=29))[case]
+        runs = [sort_records(records[i::num_runs]) for i in range(num_runs)]
+        merged = merge_sorted_runs(runs)
+        assert merged == reference_merge(runs)
+        assert exact(merged) == exact(reference_merge(runs))
+        assert all(merged is not run for run in runs)
+
+    def test_merge_of_nan_keys_is_the_stable_sort(self):
+        # NaN compares false both ways, so no order exists and a heap and
+        # a sort may legitimately disagree; the merge is then defined as
+        # the stable sort of the concatenation and loses no record.
+        runs = [[(2.0, 0), (_NAN, 1)], [(1.0, 2)], [(_NAN, 3), (0.5, 4)]]
+        flat = [rec for run in runs for rec in run]
+        merged = merge_sorted_runs(runs)
+        assert exact(merged) == exact(sorted(flat, key=record_sort_key))
+        assert sorted(v for _, v in merged) == [0, 1, 2, 3, 4]
+
     def test_merge_empty_and_single_run(self):
         assert merge_sorted_runs([]) == []
         assert merge_sorted_runs([[], []]) == []
@@ -165,6 +237,30 @@ class TestSortHelpers:
         result = sort_records(records)
         # bool ranks below numbers; equal numeric keys keep input order.
         assert result == [(True, "bool"), (1, "first"), (1.0, "second"), (1, "third")]
+
+    @pytest.mark.parametrize("case", [name for name, _ in keyed_records()])
+    def test_group_records_only_groups_indistinguishable_keys(self, case):
+        records = dict(keyed_records())[case]
+        groups = group_records(records)
+        provable = {"ints", "strings", "tuples", "duplicate_keys", "bytes", "single", "empty"}
+        if case not in provable:
+            assert groups is None
+            return
+        # first-arrival key order, arrival order within a key, nothing lost.
+        first_seen = list(dict.fromkeys(key for key, _ in records))
+        assert list(groups) == first_seen
+        for key, members in groups.items():
+            assert members == [rec for rec in records if rec[0] == key]
+            assert {exact(rec[0]) for rec in members} == {exact(key)}
+
+    def test_group_records_refuses_keys_a_dict_would_conflate(self):
+        assert group_records([(0.0, "a"), (-0.0, "b")]) is None
+        assert group_records([(_NAN, "a"), (_NAN, "b")]) is None
+        assert group_records([(1, "a"), (True, "b")]) is None
+        assert group_records([((1, "x"), "a"), ((1.0, "x"), "b")]) is None
+        assert group_records([((1,), "a"), ((1, 2), "b")]) is None
+        assert group_records([(None, "a")]) is None
+        assert group_records([]) == {}
 
     def test_sorted_by_key_still_sorts_pairs(self):
         pairs = [("b", 2), ("a", 1), ("c", 3)]

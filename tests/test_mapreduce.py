@@ -3,11 +3,18 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.common.errors import InvalidJobConf
+from repro.cluster.metrics import Counters
+from repro.common.errors import InvalidJobConf, JobError, PartitionOutOfRange
+from repro.common.hashing import partition_for
+from repro.common.kvpair import group_sorted, merge_sorted_runs, sort_key, sort_records
+from repro.common.sizeof import record_size
 from repro.mapreduce.api import Context, IdentityMapper, IdentityReducer, Mapper, Reducer
-from repro.mapreduce.engine import MapReduceEngine
+from repro.mapreduce.engine import MapReduceEngine, partition_and_sort
 from repro.mapreduce.job import JobConf
+from tests.test_kvpair import exact, keyed_records, reference_merge
 
 
 class TokenMapper(Mapper):
@@ -166,3 +173,155 @@ class TestLocalityAccounting:
         dfs.write("/in", [(i, "word " * 20) for i in range(200)])
         result = MapReduceEngine(cluster, dfs).run(wordcount_conf())
         assert dict(dfs.read("/out"))["word"] == 4000
+
+
+# ---------------------------------------------------------------------- #
+# map-side spill: differential against the per-record reference          #
+# ---------------------------------------------------------------------- #
+
+
+class FirstAndCount(Reducer):
+    """Combiner whose output shows the order values reached it in."""
+
+    def reduce(self, key, values, ctx):
+        ctx.emit(key, (values[0], len(values)))
+
+
+def repr_partitioner(key, n):
+    """Pure in ``(key, n)`` yet tells ``1``, ``1.0`` and ``True`` apart."""
+    return len(repr(key)) % n
+
+
+def reference_partition_and_sort(emitted, num_reducers, partitioner, combiner_factory, counters):
+    """The spill as it ran before grouping: everything once per record."""
+    partitions = {}
+    for key, value in emitted:
+        partitions.setdefault(partitioner(key, num_reducers), []).append((key, value))
+    partition_bytes = {}
+    for part, pairs in partitions.items():
+        pairs = sorted(pairs, key=lambda rec: sort_key(rec[0]))
+        if combiner_factory is not None:
+            combiner, ctx = combiner_factory(), Context()
+            for key, values in group_sorted(pairs):
+                combiner.reduce(key, values, ctx)
+            counters.add("combine_input_records", len(pairs))
+            pairs = sorted(ctx.take(), key=lambda rec: sort_key(rec[0]))
+            counters.add("combine_output_records", len(pairs))
+        partitions[part] = pairs
+        partition_bytes[part] = sum(record_size(k, v) for k, v in pairs)
+    return partitions, partition_bytes
+
+
+def assert_spill_matches_reference(emitted, num_reducers, partitioner, combiner):
+    counters, ref_counters = Counters(), Counters()
+    got = partition_and_sort(list(emitted), num_reducers, partitioner, combiner, counters)
+    want = reference_partition_and_sort(
+        emitted, num_reducers, partitioner, combiner, ref_counters
+    )
+    assert got == want
+    # lists, partition order and byte counts, with 1 / 1.0 / True told apart.
+    assert exact(got) == exact(want)
+    assert counters.as_dict() == ref_counters.as_dict()
+    return got
+
+
+_NAN = float("nan")
+SPILL_CASES = dict(keyed_records())
+SPILL_CASES["nan_keys"] = [(key, i) for i, key in enumerate([_NAN, 1.0, _NAN, 0.5, _NAN])]
+# a value mix no single scalar class covers, on groupable keys.
+SPILL_CASES["mixed_values"] = [
+    ("k%d" % (i % 5), value)
+    for i, value in enumerate([1, 2.5, "text", None, True, (1, "t"), [1, 2], b"b", "é"] * 3)
+]
+
+
+class TestPartitionAndSort:
+    @pytest.mark.parametrize("case", sorted(SPILL_CASES))
+    @pytest.mark.parametrize("combiner", [None, FirstAndCount], ids=["plain", "combiner"])
+    @pytest.mark.parametrize(
+        "partitioner", [partition_for, repr_partitioner], ids=["hash", "custom"]
+    )
+    def test_matches_per_record_reference(self, case, combiner, partitioner):
+        for num_reducers in (1, 4):
+            assert_spill_matches_reference(
+                SPILL_CASES[case], num_reducers, partitioner, combiner
+            )
+
+    def test_values_of_one_key_stay_in_arrival_order(self):
+        emitted = [("a", 3), ("b", 0), ("a", 1), ("a", 2), ("b", 9)]
+        partitions, _ = partition_and_sort(emitted, 1, partition_for, None, Counters())
+        assert partitions == {0: [("a", 3), ("a", 1), ("a", 2), ("b", 0), ("b", 9)]}
+
+    def test_spill_then_merge_is_the_heap_merge(self):
+        records = SPILL_CASES["strings"]
+        spills = [
+            partition_and_sort(records[i::3], 2, partition_for, None, Counters())[0]
+            for i in range(3)
+        ]
+        for part in range(2):
+            runs = [spill[part] for spill in spills if part in spill]
+            assert merge_sorted_runs(runs) == reference_merge(runs)
+
+    @pytest.mark.parametrize("bad", [lambda key, n: n, lambda key, n: -1])
+    def test_partitioner_outside_range_is_loud(self, bad):
+        for emitted in ([("a", 1), ("b", 2)], [(0.5, 1), (None, 2)]):  # grouped, per record
+            with pytest.raises(PartitionOutOfRange) as err:
+                partition_and_sort(emitted, 3, bad, None, Counters())
+            assert isinstance(err.value, JobError)
+            assert err.value.key == emitted[0][0]
+            assert err.value.partition == bad(None, 3)
+            assert err.value.num_partitions == 3
+            assert repr(emitted[0][0]) in str(err.value)
+
+    def test_job_with_a_bad_partitioner_fails_instead_of_losing_records(self, cluster, dfs):
+        dfs.write("/in", [(i, i) for i in range(10)])
+        conf = JobConf(name="bad", mapper=IdentityMapper, reducer=IdentityReducer,
+                       inputs=["/in"], output="/out", num_reducers=2,
+                       partitioner=lambda key, n: n if key == 7 else key % n)
+        with pytest.raises(JobError, match=r"PartitionOutOfRange.*key 7 .*partition 2"):
+            MapReduceEngine(cluster, dfs).run(conf)
+
+
+#: Key types with a total order (no NaN): both helpers must match exactly.
+_ORDERED_KEYS = [
+    st.integers(min_value=-3, max_value=3),
+    st.text(alphabet="abé", max_size=2),
+    st.binary(max_size=2),
+    st.floats(allow_nan=False, width=16),
+    st.one_of(st.integers(0, 2), st.floats(0, 2, width=16), st.booleans(), st.none()),
+    st.tuples(st.integers(0, 2), st.text(alphabet="ab", max_size=1)),
+    st.tuples(st.one_of(st.integers(0, 1), st.floats(0, 1, width=16)), st.just("a")),
+    st.lists(st.integers(0, 1), max_size=2).map(tuple),
+]
+#: NaN keys take the spill's per-record path, which is the reference's sort.
+_SPILL_KEYS = _ORDERED_KEYS + [st.floats(allow_nan=True, width=16)]
+
+
+def _records_of(key_strategies):
+    """Draw one key strategy, then a list of ``(key, value)`` from it."""
+    return st.sampled_from(key_strategies).flatmap(
+        lambda keys: st.lists(st.tuples(keys, st.integers(0, 99)), max_size=40)
+    )
+
+
+@given(
+    emitted=_records_of(_SPILL_KEYS),
+    num_reducers=st.integers(1, 4),
+    combine=st.booleans(),
+    custom=st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_spill_matches_reference_for_drawn_key_types(emitted, num_reducers, combine, custom):
+    assert_spill_matches_reference(
+        emitted,
+        num_reducers,
+        repr_partitioner if custom else partition_for,
+        FirstAndCount if combine else None,
+    )
+
+
+@given(records=_records_of(_ORDERED_KEYS), num_runs=st.integers(1, 5))
+@settings(max_examples=150, deadline=None)
+def test_merge_matches_heap_for_drawn_key_types(records, num_runs):
+    runs = [sort_records(records[i::num_runs]) for i in range(num_runs)]
+    assert exact(merge_sorted_runs(runs)) == exact(reference_merge(runs))

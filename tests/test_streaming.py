@@ -100,6 +100,25 @@ class TestReplaySource:
         with pytest.raises(StreamSourceError):
             ReplaySource([], rate=0.0)
 
+    def test_yielded_records_are_released_and_the_schedule_continues(self):
+        source = ReplaySource([insert(i, i) for i in range(3)], rate=2.0, start_s=10.0)
+        first = list(source)
+        assert [e.arrival_s for e in first] == [10.0, 10.5, 11.0]
+        assert len(source.pending) == 0  # a drained source holds nothing
+        assert list(source) == []  # and a new pass yields nothing twice
+
+        source.extend([insert(i, i) for i in range(3, 5)])
+        assert len(source.pending) == 2
+        events = source.events()
+        resumed = next(events)
+        # record 3 arrives at start_s + 3 / rate: the index counts the
+        # records already released, not the ones still held.
+        assert (resumed.record, resumed.arrival_s) == (insert(3, 3), 11.5)
+        assert len(source.pending) == 1  # released one by one, mid-pass too
+        source.extend([insert(5, 5)])  # extending under an open pass
+        assert [(e.record.key, e.arrival_s) for e in events] == [(4, 12.0), (5, 12.5)]
+        assert len(source.pending) == 0
+
 
 class TestDFSTailSource:
     def test_files_consumed_in_order_as_bursts(self):

@@ -123,6 +123,12 @@ def print_report(doc: dict, baseline: dict) -> None:
         print("shuffle (sort + run merge):")
         print(fmt_row("records", shuffle.get("records_per_s"),
                       baseline.get("shuffle", {}).get("records_per_s"), "rec/s"))
+    grouped = doc.get("shuffle_grouped", {})
+    if grouped:
+        print(f"shuffle, grouped spill + run merge ({grouped.get('records')} records "
+              f"over {grouped.get('distinct_keys')} string keys):")
+        print(fmt_row("records", grouped.get("records_per_s"),
+                      baseline.get("shuffle_grouped", {}).get("records_per_s"), "rec/s"))
     fig8 = doc.get("fig8", {})
     if fig8:
         print("fig8 end-to-end (pagerank):")
