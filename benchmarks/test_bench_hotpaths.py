@@ -1,6 +1,6 @@
 """Benchmark — hot paths: codec MB/s, store merge ops/s, shuffle records/s
 (distinct tuple keys, and duplicate-heavy string keys through the grouped
-map-side spill), and fig8 end-to-end host wall-clock.
+map-side spill), iterMR full sweeps/s, and fig8 end-to-end host wall-clock.
 
 This is the perf-regression harness started by the hot-path overhaul PR:
 it writes ``BENCH_hotpaths.json`` at the repository root so the perf
@@ -33,11 +33,16 @@ import tempfile
 import time
 
 from benchmarks.conftest import bench_out_path, run_once
+from repro.algorithms.pagerank import PageRank
+from repro.cluster.cluster import Cluster
 from repro.cluster.metrics import Counters
 from repro.common.hashing import partition_for
 from repro.common.kvpair import Op, merge_sorted_runs, sort_records
 from repro.common.sizeof import records_size
+from repro.datasets.graphs import powerlaw_web_graph
 from repro.experiments.fig8_overall import run_workload
+from repro.iterative.engine import run_full_iteration
+from repro.iterative.partitioning import partition_structure
 from repro.mapreduce.engine import partition_and_sort
 from repro.mrbgraph.chunk import decode_chunk, encode_chunk
 from repro.mrbgraph.graph import DeltaEdge, Edge
@@ -327,6 +332,46 @@ def test_bench_shuffle_grouped(benchmark):
         {k: v for k, v in payload.items() if not isinstance(v, dict)}
     )
     print(f"\nshuffle (grouped spill): {payload['records_per_s']} records/s")
+
+
+def test_bench_iter_sweep(benchmark):
+    """PageRank full sweeps over the 2 000-page power-law graph of
+    ``bench/``'s ``pagerank_*`` workloads (4 partitions, serial): the loop
+    the initial converged run, the recompute fallback and every iterative
+    baseline of Fig 8 pay once per iteration."""
+    graph = powerlaw_web_graph(2000, 6.0, seed=0)
+    algorithm = PageRank()
+    cluster = Cluster(num_workers=8)
+    parts = partition_structure(algorithm, algorithm.structure_records(graph), 4)
+    sweeps = 10
+
+    def sweep_all(capture_chunks):
+        state = dict(algorithm.initial_state(graph))
+        for _ in range(sweeps):
+            result = run_full_iteration(
+                algorithm, parts, state, cluster, capture_chunks=capture_chunks
+            )
+            state = result.new_state
+        return result
+
+    last = run_once(benchmark, sweep_all, True)
+    assert sum(len(chunk_list) for chunk_list in last.chunks) > 0
+    payload = {
+        "vertices": len(graph.out_links),
+        "structure_pairs": parts.total_pairs(),
+        "map_output_records": last.counters.get("map_output_records"),
+        "sweeps_per_s": round(sweeps / _throughput(lambda: sweep_all(False), reps=3), 2),
+        "capture_chunks_sweeps_per_s": round(
+            sweeps / _throughput(lambda: sweep_all(True), reps=3), 2
+        ),
+        "pre_pr_baseline": _baseline("iter_sweep"),
+    }
+    _record("iter_sweep", payload)
+    benchmark.extra_info.update(
+        {k: v for k, v in payload.items() if not isinstance(v, dict)}
+    )
+    print(f"\niter sweep: {payload['sweeps_per_s']} sweeps/s, "
+          f"{payload['capture_chunks_sweeps_per_s']} with capture_chunks")
 
 
 def test_bench_fig8_end_to_end(benchmark, bench_scale):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from typing import Any
+from typing import Any, Dict
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _F64 = struct.Struct("<d")
@@ -104,10 +104,33 @@ def stable_hash_bytes(data: bytes) -> int:
     return _splitmix64(zlib.crc32(data) + 0xB17E5)
 
 
+#: Entries the placement memo may hold; it is cleared when it fills.
+PLACEMENT_MEMO_CAP = 1 << 16
+
+#: ``key -> stable_hash(key)`` for keys of exact class ``int`` or ``str``.
+_placement_memo: Dict[Any, int] = {}
+
+
 def partition_for(key: Any, num_partitions: int) -> int:
-    """Default partitioner: ``stable_hash(key) mod n``."""
+    """The one placement function: ``stable_hash(key) mod n``.
+
+    Map-output partitions, state partitions, structure partitions and
+    store shards all come from here.  Iterative jobs place the same keys
+    every sweep, so the hash of an exact ``int`` or ``str`` key is kept in
+    a per-process memo; ``1 == 1.0 == True`` share a dict slot but not a
+    hash, so every other class (``bool``, ``float``, tuples, subclasses)
+    is hashed on each call.  Concurrent callers can at worst recompute.
+    """
     if num_partitions <= 0:
         raise ValueError("num_partitions must be positive")
+    cls = key.__class__
+    if cls is int or cls is str:
+        hashed = _placement_memo.get(key)
+        if hashed is None:
+            if len(_placement_memo) >= PLACEMENT_MEMO_CAP:
+                _placement_memo.clear()
+            hashed = _placement_memo[key] = stable_hash(key)
+        return hashed % num_partitions
     return stable_hash(key) % num_partitions
 
 

@@ -131,6 +131,11 @@ def values_size(values: Sequence) -> int:
     return sum(map(value_size, values))
 
 
+def columns_size(keys: Sequence, values: Sequence) -> int:
+    """:func:`records_size` of ``zip(keys, values)``, column by column."""
+    return len(keys) * _RECORD_OVERHEAD + values_size(keys) + values_size(values)
+
+
 def grouped_records_size(
     groups: Iterable[Tuple[Any, Sequence[Tuple[Any, Any]]]],
 ) -> int:

@@ -32,9 +32,9 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.metrics import Counters, JobMetrics, StageTimes
 from repro.common import config
 from repro.common.errors import JobError
-from repro.common.hashing import map_key, partition_for
+from repro.common.hashing import partition_for
 from repro.common.kvpair import DeltaRecord, Op, sort_key, sort_records
-from repro.common.sizeof import record_size
+from repro.common.sizeof import columns_size, record_size
 from repro.dfs.filesystem import DistributedFS
 from repro.execution import (
     ExecutionBackend,
@@ -52,10 +52,11 @@ from repro.iterative.engine import (
     run_full_iteration,
 )
 from repro.iterative.partitioning import (
+    StructureRecord,
     partition_job_cost,
     partition_structure,
 )
-from repro.mrbgraph.graph import DeltaEdge, Edge
+from repro.mrbgraph.graph import DeltaEdge
 from repro.resilience.policy import RetryPolicy
 
 #: Encoded overhead of the +/- op marker on a delta edge.
@@ -70,9 +71,9 @@ class DeltaStateMapPayload:
     """One delta-state map task (iteration j >= 2, §5.1)."""
 
     partition: int
-    #: ``(DK, DV_changed, [(SK, SV), ...])`` for the changed state keys
-    #: whose structure groups live in this partition.
-    groups: List[Tuple[Any, Any, List[Tuple[Any, Any]]]]
+    #: ``(DK, DV_changed, [(SK, SV, MK, nbytes), ...])`` for the changed
+    #: state keys whose structure groups live in this partition.
+    groups: List[Tuple[Any, Any, List[StructureRecord]]]
     algorithm: Any
     num_partitions: int
 
@@ -96,32 +97,29 @@ def execute_delta_state_map_task(payload: DeltaStateMapPayload) -> DeltaStateMap
     algorithm = payload.algorithm
     n = payload.num_partitions
     per_q: Dict[int, List[Tuple[Any, DeltaEdge]]] = {}
-    edge_bytes_per_q: Dict[int, int] = {}
     read_bytes = 0
-    emitted = 0
-    emitted_bytes = 0
     pairs_done = 0
-    for dk, dv, pairs in payload.groups:
+    for dk, dv, records in payload.groups:
         read_bytes += record_size(dk, dv)
-        for sk, sv in pairs:
-            read_bytes += record_size(sk, sv)
-            mk = map_key(sk, sv)
-            outs = algorithm.map_instance(sk, sv, dk, dv)
+        for sk, sv, mk, nbytes in records:
+            read_bytes += nbytes
             pairs_done += 1
-            emitted += len(outs)
-            for k2, v2 in outs:
-                q = partition_for(k2, n)
-                per_q.setdefault(q, []).append((k2, DeltaEdge(mk, v2, Op.INSERT)))
-                nbytes = record_size(k2, v2) + MK_BYTES + _OP_BYTES
-                edge_bytes_per_q[q] = edge_bytes_per_q.get(q, 0) + nbytes
-                emitted_bytes += nbytes
+            for k2, v2 in algorithm.map_instance(sk, sv, dk, dv):
+                per_q.setdefault(partition_for(k2, n), []).append(
+                    (k2, DeltaEdge(mk, v2, Op.INSERT))
+                )
+    edge_bytes_per_q = {
+        q: columns_size([k2 for k2, _ in edges], [edge.value for _, edge in edges])
+        + (MK_BYTES + _OP_BYTES) * len(edges)
+        for q, edges in per_q.items()
+    }
     return DeltaStateMapRun(
         partition=payload.partition,
         per_q=per_q,
         edge_bytes_per_q=edge_bytes_per_q,
         read_bytes=read_bytes,
-        emitted=emitted,
-        emitted_bytes=emitted_bytes,
+        emitted=sum(map(len, per_q.values())),
+        emitted_bytes=sum(edge_bytes_per_q.values()),
         pairs_done=pairs_done,
     )
 
@@ -300,10 +298,7 @@ class I2MREngine:
                 if not chunk_list:
                     continue
                 store = stores.store_for(q)
-                store.build(
-                    (k2, [Edge(mk, v2) for mk, v2 in entries])
-                    for k2, entries in chunk_list
-                )
+                store.build(chunk_list)
                 store.save_index()
         build_metrics = stores.store_metrics()
         metrics.times.merge = build_metrics.write_time_s * cost.data_scale
@@ -693,6 +688,7 @@ class I2MREngine:
         cost = self.cluster.cost_model
         n = parts.num_partitions
         workers = self.cluster.num_workers
+        _check_delta(algorithm, parts, delta_records)
         per_partition: Dict[int, List[DeltaRecord]] = {}
         for rec in delta_records:
             p = parts.partition_of(algorithm, rec.key)
@@ -712,22 +708,18 @@ class I2MREngine:
                 sk, sv, op = rec.key, rec.value, rec.op
                 dk = algorithm.project(sk)
                 touched_dks.add(dk)
-                read_bytes += record_size(sk, sv) + _OP_BYTES
                 if op is Op.DELETE:
-                    try:
-                        parts.delete_pair(algorithm, sk, sv)
-                    except KeyError as exc:
-                        raise JobError(f"bad delta: {exc}") from exc
+                    _, _, mk, size = parts.delete_pair(algorithm, sk, sv)
                     if algorithm.dependency is Dependency.ONE_TO_ONE:
                         removal_candidates.add(dk)
                 else:
-                    parts.insert_pair(algorithm, sk, sv)
+                    _, _, mk, size = parts.insert_pair(algorithm, sk, sv)
                     if dk not in state:
                         new_dks.append(dk)
+                read_bytes += size + _OP_BYTES
                 dv = state.get(dk)
                 if dv is None:
                     dv = algorithm.init_state_value(dk)
-                mk = map_key(sk, sv)
                 outs = algorithm.map_instance(sk, sv, dk, dv)
                 emitted += len(outs)
                 if op is Op.DELETE:
@@ -857,14 +849,22 @@ class I2MREngine:
         """Apply a structure delta without incremental processing (used by
         the fallback path when MRBGraph maintenance is off from the
         start)."""
+        _check_delta(algorithm, parts, delta_records)
         for rec in delta_records:
             if rec.op is Op.DELETE:
-                try:
-                    parts.delete_pair(algorithm, rec.key, rec.value)
-                except KeyError as exc:
-                    raise JobError(f"bad delta: {exc}") from exc
+                parts.delete_pair(algorithm, rec.key, rec.value)
             else:
                 parts.insert_pair(algorithm, rec.key, rec.value)
+
+
+def _check_delta(algorithm: Any, parts: Any, delta_records: List[DeltaRecord]) -> None:
+    """Refuse a delta that deletes an absent pair before it changes
+    anything: the structure must keep matching the preserved MRBGraph and
+    state, which a refused delta leaves untouched."""
+    try:
+        parts.check_delta(algorithm, delta_records)
+    except KeyError as exc:
+        raise JobError(f"bad delta: {exc}") from exc
 
 
 class _IterOutcome(IterationStats):

@@ -24,9 +24,9 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.cluster.cluster import Cluster
 from repro.cluster.metrics import Counters, JobMetrics, StageTimes
 from repro.common import config
-from repro.common.hashing import map_key, partition_for
+from repro.common.hashing import partition_for
 from repro.common.kvpair import sort_key, sort_records
-from repro.common.sizeof import record_size
+from repro.common.sizeof import columns_size, record_size
 from repro.dfs.filesystem import DistributedFS
 from repro.execution import (
     ExecutionBackend,
@@ -37,6 +37,7 @@ from repro.execution import (
 from repro.iterative.api import Dependency, IterationStats, IterativeJob
 from repro.iterative.partitioning import (
     PartitionedStructure,
+    StructureRecord,
     partition_job_cost,
     partition_structure,
     state_bytes_by_partition,
@@ -63,8 +64,8 @@ class IterMapPayload:
     """One prime Map task: a partition's structure groups + state slice."""
 
     partition: int
-    #: ``(DK, [(SK, SV), ...])`` groups in DK-sorted order.
-    groups: List[Tuple[Any, List[Tuple[Any, Any]]]]
+    #: ``(DK, [(SK, SV, MK, nbytes), ...])`` groups in DK-sorted order.
+    groups: List[Tuple[Any, List[StructureRecord]]]
     #: state values for exactly the DKs appearing in ``groups``.
     state_slice: Dict[Any, Any]
     algorithm: Any
@@ -79,6 +80,9 @@ class IterMapRun:
     partition: int
     #: reduce partition q -> emitted ``(K2, MK, V2)`` in emission order.
     per_q: Dict[int, List[Tuple[Any, int, Any]]]
+    #: reduce partition q -> encoded bytes of ``per_q[q]`` (MK included
+    #: with capture_chunks): every emitted record is sized here, once.
+    bytes_per_q: Dict[int, int]
     emitted: int
     emitted_bytes: int
 
@@ -87,27 +91,29 @@ def execute_iter_map_task(payload: IterMapPayload) -> IterMapRun:
     """Run one prime Map task; pure function of its payload."""
     algorithm = payload.algorithm
     n = payload.num_partitions
+    capture = payload.capture_chunks
     per_q: Dict[int, List[Tuple[Any, int, Any]]] = {}
-    emitted = 0
-    emitted_bytes = 0
-    for dk, pairs in payload.groups:
+    for dk, records in payload.groups:
         dv = payload.state_slice.get(dk)
         if dv is None:
             dv = algorithm.init_state_value(dk)
-        for sk, sv in pairs:
-            mk = map_key(sk, sv) if payload.capture_chunks else 0
+        for sk, sv, mk, _ in records:
+            if not capture:
+                mk = 0
             for k2, v2 in algorithm.map_instance(sk, sv, dk, dv):
-                q = partition_for(k2, n)
-                per_q.setdefault(q, []).append((k2, mk, v2))
-                emitted += 1
-                emitted_bytes += record_size(k2, v2)
-    if payload.capture_chunks:
-        emitted_bytes += emitted * MK_BYTES
+                per_q.setdefault(partition_for(k2, n), []).append((k2, mk, v2))
+    overhead = MK_BYTES if capture else 0
+    bytes_per_q = {
+        q: columns_size([k2 for k2, _, _ in recs], [v2 for _, _, v2 in recs])
+        + overhead * len(recs)
+        for q, recs in per_q.items()
+    }
     return IterMapRun(
         partition=payload.partition,
         per_q=per_q,
-        emitted=emitted,
-        emitted_bytes=emitted_bytes,
+        bytes_per_q=bytes_per_q,
+        emitted=sum(map(len, per_q.values())),
+        emitted_bytes=sum(bytes_per_q.values()),
     )
 
 
@@ -247,10 +253,12 @@ def run_full_iteration(
         )
     map_runs = backend.run_tasks(execute_iter_map_task, map_payloads)
 
+    shuffle_bytes = [0] * n
     for run in sorted(map_runs, key=lambda r: r.partition):
         p = run.partition
         for q in sorted(run.per_q):
             intermediate[q].extend(run.per_q[q])
+            shuffle_bytes[q] += run.bytes_per_q[q]
         task_cost = cost.disk_read_time(parts.structure_bytes[p] + state_sizes[p])
         task_cost += cost.cpu_time(parts.num_pairs[p], algorithm.map_cpu_weight)
         task_cost += cost.sort_time(run.emitted)
@@ -269,10 +277,7 @@ def run_full_iteration(
         # Volume from each map partition p; records were produced
         # partition-at-a-time so we approximate the per-source split by
         # charging local transfer for the co-located source only.
-        total_bytes = sum(
-            record_size(k2, v2) + (MK_BYTES if capture_chunks else 0)
-            for k2, _, v2 in intermediate[q]
-        )
+        total_bytes = shuffle_bytes[q]
         local_fraction = 1.0 / max(1, n)
         local_bytes = int(total_bytes * local_fraction)
         remote_bytes = total_bytes - local_bytes

@@ -10,26 +10,38 @@ partition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Iterable, Iterator, List, Tuple
 
 from repro.cluster.costmodel import CostModel
-from repro.common.hashing import partition_for
-from repro.common.kvpair import sort_key
+from repro.common.hashing import map_key, partition_for
+from repro.common.kvpair import DeltaRecord, Op, sort_key
 from repro.common.sizeof import record_size
 from repro.iterative.api import Dependency
+
+#: One cached structure kv-pair, ``(SK, SV, MK, encoded bytes)``: the
+#: pair plus everything the map loops need that depends on it alone.
+StructureRecord = Tuple[Any, Any, int, int]
+
+
+def _absent(sk: Any) -> KeyError:
+    return KeyError(f"structure pair ({sk!r}, ...) not found for deletion")
 
 
 @dataclass
 class PartitionedStructure:
-    """Structure data split into prime-Map partitions.
+    """Structure data split into prime-Map partitions — the structure cache.
+
+    Each kv-pair is hashed (``MK``), sized and placed once, when it enters
+    through :func:`partition_structure` or :meth:`insert_pair`; iterations
+    read the cached record and :meth:`delete_pair` drops it.
 
     Attributes:
         num_partitions: partition (= prime task) count ``n``.
         replicated_state: True for all-to-one dependencies, where state is
             replicated instead of co-partitioned.
-        groups: per partition, ``{DK: [(SK, SV), ...]}`` — the structure
-            kv-pairs grouped by their interdependent state key.
+        groups: per partition, ``{DK: [(SK, SV, MK, nbytes), ...]}`` — the
+            structure records grouped by their interdependent state key.
         structure_bytes: per-partition encoded byte size (maintained
             incrementally under delta mutations).
         num_pairs: per-partition structure kv-pair count.
@@ -37,12 +49,12 @@ class PartitionedStructure:
 
     num_partitions: int
     replicated_state: bool
-    groups: List[Dict[Any, List[Tuple[Any, Any]]]]
+    groups: List[Dict[Any, List[StructureRecord]]]
     structure_bytes: List[int]
     num_pairs: List[int]
 
-    def iter_groups(self, partition: int) -> Iterator[Tuple[Any, List[Tuple[Any, Any]]]]:
-        """Iterate ``(DK, pairs)`` groups of a partition in DK-sorted order.
+    def iter_groups(self, partition: int) -> Iterator[Tuple[Any, List[StructureRecord]]]:
+        """Iterate ``(DK, records)`` groups of a partition in DK-sorted order.
 
         The structure file is kept sorted by ``project(SK)`` (§4.3) so the
         prime Map matches structure and state in one sequential pass; the
@@ -52,33 +64,59 @@ class PartitionedStructure:
         for dk in sorted(part, key=sort_key):
             yield dk, part[dk]
 
-    def insert_pair(self, algorithm: Any, sk: Any, sv: Any) -> int:
-        """Insert one structure kv-pair; returns its partition."""
+    def insert_pair(self, algorithm: Any, sk: Any, sv: Any) -> StructureRecord:
+        """Insert one structure kv-pair; returns its cached record."""
         partition = self.partition_of(algorithm, sk)
-        dk = algorithm.project(sk)
-        self.groups[partition].setdefault(dk, []).append((sk, sv))
-        self.structure_bytes[partition] += record_size(sk, sv)
+        record = (sk, sv, map_key(sk, sv), record_size(sk, sv))
+        self.groups[partition].setdefault(algorithm.project(sk), []).append(record)
+        self.structure_bytes[partition] += record[3]
         self.num_pairs[partition] += 1
-        return partition
+        return record
 
-    def delete_pair(self, algorithm: Any, sk: Any, sv: Any) -> int:
+    def delete_pair(self, algorithm: Any, sk: Any, sv: Any) -> StructureRecord:
         """Delete one structure kv-pair (matched by key and value).
 
-        Returns the partition; raises ``KeyError`` when the pair is absent
-        (a malformed delta input).
+        Returns the record it dropped; raises ``KeyError`` when the pair
+        is absent (a malformed delta input).
         """
         partition = self.partition_of(algorithm, sk)
         dk = algorithm.project(sk)
-        pairs = self.groups[partition].get(dk, [])
+        records = self.groups[partition].get(dk, [])
         try:
-            pairs.remove((sk, sv))
+            index = [record[:2] for record in records].index((sk, sv))
         except ValueError:
-            raise KeyError(f"structure pair ({sk!r}, ...) not found for deletion") from None
-        if not pairs:
+            raise _absent(sk) from None
+        record = records.pop(index)
+        if not records:
             self.groups[partition].pop(dk, None)
-        self.structure_bytes[partition] -= record_size(sk, sv)
+        self.structure_bytes[partition] -= record[3]
         self.num_pairs[partition] -= 1
-        return partition
+        return record
+
+    def check_delta(self, algorithm: Any, delta_records: Iterable[DeltaRecord]) -> None:
+        """Raise ``KeyError`` unless every deletion of a delta finds its pair.
+
+        Replays the delta on copies of the ``(partition, DK)`` groups it
+        touches, so a deletion sees the earlier records of the same delta
+        (an update is a deletion followed by an insertion, §3.1); the
+        structure itself is not touched.
+        """
+        shadow: Dict[Tuple[int, Any], List[Tuple[Any, Any]]] = {}
+        for rec in delta_records:
+            partition = self.partition_of(algorithm, rec.key)
+            dk = algorithm.project(rec.key)
+            pairs = shadow.get((partition, dk))
+            if pairs is None:
+                pairs = shadow[(partition, dk)] = [
+                    record[:2] for record in self.groups[partition].get(dk, ())
+                ]
+            if rec.op is not Op.DELETE:
+                pairs.append((rec.key, rec.value))
+                continue
+            try:
+                pairs.remove((rec.key, rec.value))
+            except ValueError:
+                raise _absent(rec.key) from None
 
     def partition_of(self, algorithm: Any, sk: Any) -> int:
         """Partition holding the structure kv-pair with key ``sk``."""
@@ -97,28 +135,16 @@ def partition_structure(
     num_partitions: int,
 ) -> PartitionedStructure:
     """Partition structure records per the §4.3 scheme."""
-    replicated = algorithm.dependency is Dependency.ALL_TO_ONE
-    groups: List[Dict[Any, List[Tuple[Any, Any]]]] = [
-        {} for _ in range(num_partitions)
-    ]
-    structure_bytes = [0] * num_partitions
-    num_pairs = [0] * num_partitions
-    for sk, sv in records:
-        dk = algorithm.project(sk)
-        if replicated:
-            partition = partition_for(sk, num_partitions)
-        else:
-            partition = partition_for(dk, num_partitions)
-        groups[partition].setdefault(dk, []).append((sk, sv))
-        structure_bytes[partition] += record_size(sk, sv)
-        num_pairs[partition] += 1
-    return PartitionedStructure(
+    parts = PartitionedStructure(
         num_partitions=num_partitions,
-        replicated_state=replicated,
-        groups=groups,
-        structure_bytes=structure_bytes,
-        num_pairs=num_pairs,
+        replicated_state=algorithm.dependency is Dependency.ALL_TO_ONE,
+        groups=[{} for _ in range(num_partitions)],
+        structure_bytes=[0] * num_partitions,
+        num_pairs=[0] * num_partitions,
     )
+    for sk, sv in records:
+        parts.insert_pair(algorithm, sk, sv)
+    return parts
 
 
 def state_partition(dk: Any, num_partitions: int) -> int:

@@ -54,13 +54,13 @@ from repro.cluster.scheduler import (
     ShardTaskSpec,
     schedule_shard_stage,
 )
-from repro.common.hashing import map_key, partition_for
+from repro.common.hashing import partition_for
 from repro.common.kvpair import sort_key
 from repro.common.sizeof import record_size
 from repro.execution import ExecutionBackend, SerialBackend
 from repro.inciter.cpc import ChangePropagationControl
 from repro.iterative.api import IterationStats
-from repro.iterative.partitioning import PartitionedStructure
+from repro.iterative.partitioning import PartitionedStructure, StructureRecord
 from repro.mrbgraph.sharding import HashShardRouter, ShardRouter
 
 #: Fallback backend when no executor is supplied.
@@ -128,19 +128,14 @@ class Workset:
 class PartitionRouter(HashShardRouter):
     """Engine-partition routing exposed through the shard-router API.
 
-    The prime-task partitioner (:func:`repro.common.hashing.partition_for`)
-    and :class:`repro.mrbgraph.sharding.HashShardRouter` compute the same
-    ``stable_hash(key) % n``; this subclass makes the identity explicit
-    so :meth:`Workset.partition_map` and the store routers share one code
-    path, and the property suite can assert a dirty key's shard under the
-    router equals the partition whose task gets scheduled.
+    :class:`repro.mrbgraph.sharding.HashShardRouter` routes through the
+    prime-task partitioner (:func:`repro.common.hashing.partition_for`),
+    so a dirty key's shard under this router *is* the partition whose
+    task gets scheduled; only the ``kind`` differs, naming what
+    :meth:`Workset.partition_map` is splitting.
     """
 
     kind = "partition"
-
-    def shard_for(self, key: Any) -> int:
-        """The prime-task partition owning ``key``."""
-        return partition_for(key, self.num_shards)
 
 
 def workset_task_specs(
@@ -177,10 +172,11 @@ class WorksetMapPayload:
     """One workset Map task: a partition's *dirty* structure groups."""
 
     partition: int
-    #: ``(DK, DV-or-None, [(SK, SV), ...])`` — the dirty groups only;
-    #: ``None`` state values fall back to the algorithm's initial value,
-    #: mirroring :func:`repro.iterative.engine.execute_iter_map_task`.
-    groups: List[Tuple[Any, Any, List[Tuple[Any, Any]]]]
+    #: ``(DK, DV-or-None, [(SK, SV, MK, nbytes), ...])`` — the dirty
+    #: groups only; ``None`` state values fall back to the algorithm's
+    #: initial value, mirroring
+    #: :func:`repro.iterative.engine.execute_iter_map_task`.
+    groups: List[Tuple[Any, Any, List[StructureRecord]]]
     algorithm: Any
 
 
@@ -205,14 +201,13 @@ def execute_workset_map_task(payload: WorksetMapPayload) -> WorksetMapRun:
     emitted_bytes = 0
     read_bytes = 0
     pairs_done = 0
-    for dk, dv, pairs in payload.groups:
+    for dk, dv, records in payload.groups:
         if dv is None:
             dv = algorithm.init_state_value(dk)
         read_bytes += record_size(dk, dv)
         emissions: List[Tuple[Any, int, Any]] = []
-        for sk, sv in pairs:
-            mk = map_key(sk, sv)
-            read_bytes += record_size(sk, sv)
+        for sk, sv, mk, nbytes in records:
+            read_bytes += nbytes
             pairs_done += 1
             for k2, v2 in algorithm.map_instance(sk, sv, dk, dv):
                 emissions.append((k2, mk, v2))
@@ -405,7 +400,7 @@ class WorksetRunner:
         payloads: List[WorksetMapPayload] = []
         touched = 0
         for p in sorted(per_partition):
-            group_items: List[Tuple[Any, Any, List[Tuple[Any, Any]]]] = []
+            group_items: List[Tuple[Any, Any, List[StructureRecord]]] = []
             part = self.parts.groups[p]
             for dk in sorted(per_partition[p], key=sort_key):
                 pairs = part.get(dk)

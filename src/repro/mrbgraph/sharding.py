@@ -56,7 +56,7 @@ from repro.cluster.scheduler import (
 )
 from repro.common import config
 from repro.common.errors import StoreClosedError, StoreError
-from repro.common.hashing import stable_hash
+from repro.common.hashing import partition_for
 from repro.common.kvpair import sort_key
 from repro.common.serialization import decode_many, encode_many
 from repro.mrbgraph.chunk import ColumnarEdges
@@ -110,9 +110,10 @@ class ShardRouter:
 class HashShardRouter(ShardRouter):
     """The default router: ``stable_hash(key) % num_shards``.
 
-    Uses the library's deterministic :func:`repro.common.hashing.stable_hash`
-    (never Python's randomized builtin), so placement is identical across
-    processes and runs.
+    Routes through :func:`repro.common.hashing.partition_for`, the
+    library's one deterministic placement function (never Python's
+    randomized builtin hash), so placement is identical across processes
+    and runs and equals the engines' partitioning.
     """
 
     kind = "hash"
@@ -124,7 +125,7 @@ class HashShardRouter(ShardRouter):
 
     def shard_for(self, key: Any) -> int:
         """Deterministic ``stable_hash(key) % num_shards``."""
-        return stable_hash(key) % self.num_shards
+        return partition_for(key, self.num_shards)
 
     def spec(self) -> Dict[str, Any]:
         """Manifest description: kind + shard count."""

@@ -23,6 +23,7 @@ legitimately differ).
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
@@ -190,11 +191,13 @@ class ResultCache:
             for key in touched:
                 doomed.update(self._by_key.get(key, ()))
             if self._ranged:
-                touched_sks = [sort_key(k) for k in touched]
+                # One sort, then per entry: the smallest touched sort key
+                # at or above ``lo`` is inside the bounds iff any is.
+                touched_sks = sorted(map(sort_key, touched))
                 for sig in self._ranged:
-                    entry = self._entries[sig]
-                    lo, hi = entry.bounds  # type: ignore[misc]
-                    if any(lo <= sk <= hi for sk in touched_sks):
+                    lo, hi = self._entries[sig].bounds  # type: ignore[misc]
+                    at = bisect_left(touched_sks, lo)
+                    if at < len(touched_sks) and touched_sks[at] <= hi:
                         doomed.add(sig)
             doomed.update(self._global)
             for sig in doomed:

@@ -403,7 +403,13 @@ class EpochManager:
     # -------------------------------------------------------------- #
 
     def add_listener(self, listener: EpochListener) -> None:
-        """Register a callback invoked with every published snapshot."""
+        """Register a callback invoked with every published snapshot.
+
+        Listeners run inside the publish critical section: no reader can
+        pin the new epoch until all of them returned (the result cache
+        drops what the epoch made stale here), so a listener must not
+        call back into the manager.
+        """
         self._listeners.append(listener)
 
     def publish(self, state: Mapping[Any, Any]) -> EpochSnapshot:
@@ -424,7 +430,7 @@ class EpochManager:
             }
             deleted = [k for k in live if k not in state]
             snapshot = self._publish_locked(changed, deleted)
-        self._notify(snapshot)
+            self._notify(snapshot)
         return snapshot
 
     def publish_delta(
@@ -447,7 +453,7 @@ class EpochManager:
             }
             deleted = [k for k in deleted if k in live]
             snapshot = self._publish_locked(changed, deleted)
-        self._notify(snapshot)
+            self._notify(snapshot)
         return snapshot
 
     def _notify(self, snapshot: EpochSnapshot) -> None:

@@ -6,12 +6,16 @@ recomputing from scratch on the updated input.
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.algorithms.gimv import GIMV
 from repro.algorithms.kmeans import Kmeans
 from repro.algorithms.pagerank import PageRank
 from repro.algorithms.sssp import SSSP
+from repro.common.errors import JobError
+from repro.common.kvpair import delete, insert
 from repro.datasets.graphs import (
     mutate_web_graph,
     mutate_weighted_graph,
@@ -266,4 +270,65 @@ class TestStoreLifecycle:
         assert max(
             abs(result2.state[k] - reference[k]) for k in reference
         ) < 1e-3
+        preserved.cleanup()
+
+
+def poisoned_delta(parts, algorithm):
+    """``[delete(v0), insert(v0'), delete(absent)]``: a valid update of a
+    live vertex, then a deletion — in another partition, so it is reached
+    after the update — of a pair the structure never held."""
+    home = 0
+    sk, sv, _, _ = next(iter(parts.groups[home].values()))[0]
+    absent = next(
+        key for key in range(10**6, 10**6 + 50)
+        if parts.partition_of(algorithm, key) != home
+    )
+    return [delete(sk, sv), insert(sk, ((1, 2, 3), "")), delete(absent, ((1,), ""))], absent
+
+
+class TestRefusedDelta:
+    """A delta the engine refuses must leave the structure, the state and
+    the MRBG-Store as they were, on the fine-grain path and on the
+    recompute fallback alike."""
+
+    @pytest.mark.parametrize("mrbg_enabled", [True, False])
+    def test_poisoned_delta_changes_nothing(self, mrbg_enabled):
+        algorithm, _, engine, job, _, preserved, delta = pagerank_setup(n=150)
+        _, _, twin_engine, twin_job, _, twin, _ = pagerank_setup(n=150)
+        options = I2MROptions(
+            filter_threshold=1e-8, max_iterations=30, mrbg_enabled=mrbg_enabled,
+            epsilon=1e-7,
+        )
+        poison, absent = poisoned_delta(preserved.parts, algorithm)
+        groups = pickle.dumps(preserved.parts.groups)
+        state = dict(preserved.state)
+        store_metrics = preserved.stores.store_metrics()
+
+        for _ in range(2):  # the retry fails on the same record, not another
+            with pytest.raises(JobError, match=f"bad delta.*{absent}"):
+                engine.run_incremental(job, poison, preserved, options)
+            assert pickle.dumps(preserved.parts.groups) == groups
+            assert preserved.parts == twin.parts
+            assert preserved.state == state
+            assert preserved.stores.store_metrics() == store_metrics
+
+        # The next good batch is exactly a twin engine's that never saw it.
+        got = engine.run_incremental(job, delta.records, preserved, options)
+        want = twin_engine.run_incremental(twin_job, delta.records, twin, options)
+        assert got.state == want.state
+        assert got.per_iteration == want.per_iteration
+        assert got.metrics.times == want.metrics.times
+        assert got.metrics.counters.as_dict() == want.metrics.counters.as_dict()
+        assert preserved.parts == twin.parts
+        assert preserved.stores.store_metrics() == twin.stores.store_metrics()
+        preserved.cleanup()
+        twin.cleanup()
+
+    def test_delete_then_insert_of_one_key_is_still_an_update(self):
+        algorithm, _, engine, job, _, preserved, _ = pagerank_setup(n=150)
+        sk, sv, _, _ = next(iter(preserved.parts.groups[1].values()))[0]
+        new_sv = ((4, 5), "")
+        update = [delete(sk, sv), insert(sk, new_sv), delete(sk, new_sv), insert(sk, sv)]
+        engine.run_incremental(job, update, preserved, I2MROptions(max_iterations=5))
+        assert [rec[:2] for rec in preserved.parts.groups[1][sk]] == [(sk, sv)]
         preserved.cleanup()

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro.algorithms.pagerank import PageRank
 from repro.algorithms.kmeans import Kmeans, STATE_KEY
-from repro.common.hashing import partition_for
+from repro.common.hashing import map_key, partition_for
+from repro.common.kvpair import delete, insert
+from repro.common.sizeof import record_size
 from repro.datasets.graphs import powerlaw_web_graph
 from repro.datasets.points import gaussian_points
 from repro.iterative.partitioning import (
@@ -36,7 +41,7 @@ class TestCoPartitioning:
         for p in range(4):
             for dk, pairs in parts.iter_groups(p):
                 assert state_partition(dk, 4) == p
-                for sk, _ in pairs:
+                for sk, *_ in pairs:
                     assert algorithm.project(sk) == dk
 
     def test_all_pairs_present(self, pagerank_parts):
@@ -107,6 +112,129 @@ class TestMutation:
         with pytest.raises(KeyError):
             parts.delete_pair(algorithm, sk, ((123456,), "wrong"))
         parts.delete_pair(algorithm, sk, sv)  # correct value succeeds
+
+
+    def test_delete_returns_the_record_insert_cached(self, pagerank_parts):
+        algorithm, _, parts = pagerank_parts
+        sv = ((1, 2), "")
+        record = parts.insert_pair(algorithm, 999, sv)
+        assert record == (999, sv, map_key(999, sv), record_size(999, sv))
+        assert parts.delete_pair(algorithm, 999, sv) is record
+
+
+class TestCheckDelta:
+    """``check_delta`` replays a delta on copies: it sees the delta's own
+    earlier records and never touches the structure."""
+
+    def test_accepts_update_and_refuses_absent_without_mutation(self, pagerank_parts):
+        algorithm, records, parts = pagerank_parts
+        (sk, sv), (other_sk, other_sv) = records[0], records[1]
+        new_sv = ((7, 8, 9), "")
+        before = pickle.dumps(parts)
+        good = [
+            delete(sk, sv), insert(sk, new_sv),          # an update
+            insert(5000, sv), delete(5000, sv),          # insert, then delete it again
+            delete(sk, new_sv), insert(sk, sv),          # and back
+        ]
+        parts.check_delta(algorithm, good)
+        bad_deltas = [
+            [delete(4242, sv)],                          # never existed
+            [delete(sk, new_sv)],                        # key exists, value does not
+            [delete(sk, sv), delete(sk, sv)],            # present once, deleted twice
+            [delete(other_sk, other_sv), insert(sk, new_sv), delete(sk, sv), delete(sk, sv)],
+        ]
+        for delta in bad_deltas:
+            with pytest.raises(KeyError):
+                parts.check_delta(algorithm, delta)
+        assert pickle.dumps(parts) == before
+
+    def test_duplicates_count(self, pagerank_parts):
+        algorithm, records, parts = pagerank_parts
+        sk, sv = records[0]
+        parts.insert_pair(algorithm, sk, sv)  # now present twice
+        parts.check_delta(algorithm, [delete(sk, sv), delete(sk, sv)])
+        with pytest.raises(KeyError):
+            parts.check_delta(algorithm, [delete(sk, sv)] * 3)
+
+
+_PAIRS = st.tuples(
+    st.integers(min_value=0, max_value=9),
+    st.sampled_from([((1, 2), ""), ((3,), ""), (0.5, 1.5), "v"]),
+)
+
+
+class _StructureCacheMachine(RuleBasedStateMachine):
+    """Random ``insert_pair``/``delete_pair`` against a plain record list:
+    the cache must stay what a from-scratch partitioning would build."""
+
+    algorithm = None
+    NUM_PARTITIONS = 3
+
+    def __init__(self):
+        super().__init__()
+        self.model = []
+        self.parts = partition_structure(self.algorithm, [], self.NUM_PARTITIONS)
+
+    @initialize(records=st.lists(_PAIRS, max_size=8))
+    def start(self, records):
+        self.model = list(records)
+        self.parts = partition_structure(self.algorithm, records, self.NUM_PARTITIONS)
+
+    @rule(pair=_PAIRS)
+    def insert(self, pair):
+        record = self.parts.insert_pair(self.algorithm, *pair)
+        assert record[:2] == pair
+        self.model.append(pair)
+
+    @rule(pair=_PAIRS)
+    def delete(self, pair):
+        """Mostly duplicates and re-deletes: the key space is tiny."""
+        if pair in self.model:
+            record = self.parts.delete_pair(self.algorithm, *pair)
+            assert record[:2] == pair
+            self.model.remove(pair)
+        else:
+            with pytest.raises(KeyError):
+                self.parts.delete_pair(self.algorithm, *pair)
+
+    @rule(data=st.data())
+    def delete_a_survivor(self, data):
+        """Drains groups to empty far more often than ``delete`` alone."""
+        if self.model:
+            pair = data.draw(st.sampled_from(self.model))
+            self.parts.delete_pair(self.algorithm, *pair)
+            self.model.remove(pair)
+
+    @invariant()
+    def cache_is_exact(self):
+        parts = self.parts
+        for groups in parts.groups:
+            for dk, records in groups.items():
+                assert records, "an emptied group must leave the dict"
+                for sk, sv, mk, nbytes in records:
+                    assert self.algorithm.project(sk) == dk
+                    assert mk == map_key(sk, sv)
+                    assert nbytes == record_size(sk, sv)
+        scratch = partition_structure(self.algorithm, self.model, self.NUM_PARTITIONS)
+        assert parts.structure_bytes == scratch.structure_bytes
+        assert parts.num_pairs == scratch.num_pairs
+        assert parts == scratch
+        assert pickle.loads(pickle.dumps(parts)) == parts
+
+
+class _OneToOneCache(_StructureCacheMachine):
+    algorithm = PageRank()
+
+
+class _AllToOneCache(_StructureCacheMachine):
+    algorithm = Kmeans(k=3, dim=2)
+
+
+_MACHINE_SETTINGS = settings(max_examples=60, stateful_step_count=30, deadline=None)
+TestOneToOneStructureCache = _OneToOneCache.TestCase
+TestOneToOneStructureCache.settings = _MACHINE_SETTINGS
+TestAllToOneStructureCache = _AllToOneCache.TestCase
+TestAllToOneStructureCache.settings = _MACHINE_SETTINGS
 
 
 class TestPartitionJobCost:

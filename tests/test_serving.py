@@ -247,6 +247,47 @@ class TestResultCache:
         assert cache.get("low", 0) == (False, None)
         assert cache.get("high", 0) == (True, [])
 
+    @pytest.mark.parametrize("style", ["ints", "strings", "mixed", "tuples"])
+    def test_range_invalidation_equals_the_per_key_scan(self, style):
+        """The sorted-once bisect dooms exactly the entries the old
+        ``any(lo <= sk <= hi for sk in touched)`` scan doomed — bounds
+        that start or end *on* a touched key included."""
+        import random
+
+        rng = random.Random(17)
+        universe = {
+            "ints": list(range(0, 400, 3)),
+            "strings": ["w%03d" % i for i in range(0, 400, 3)],
+            "mixed": [None, True, 2, 2.5, 7, "a", "b", "w9", b"x", (1, "a"), (2, 0)],
+            "tuples": [(i % 7, "s%d" % (i % 5)) for i in range(40)],
+        }[style]
+        for trial in range(30):
+            touched = frozenset(rng.sample(universe, rng.randrange(1, min(20, len(universe)))))
+            cache = ResultCache(capacity=256)
+            bounds = {}
+            edge = sorted(map(sort_key, touched))
+            for i in range(40):
+                lo, hi = sorted((sort_key(rng.choice(universe)), sort_key(rng.choice(universe))))
+                if i == 0:
+                    lo = hi = edge[0]              # a one-key range on a touched key
+                elif i == 1:
+                    lo, hi = edge[-1], max(edge[-1], hi)   # lo is a touched key
+                elif i == 2:
+                    lo, hi = min(edge[0], lo), edge[0]     # hi is a touched key
+                bounds["r%d" % i] = (lo, hi)
+                cache.put("r%d" % i, i, 0, 0, bounds=(lo, hi))
+            cache.put("point", 1, 0, 0, deps=frozenset([rng.choice(universe)]))
+            expected = {
+                sig for sig, (lo, hi) in bounds.items()
+                if any(lo <= sort_key(key) <= hi for key in touched)
+            }
+            assert {"r0", "r1", "r2"} <= expected
+            point_dies = bool(cache._by_key.keys() & touched)
+            assert cache.invalidate(touched) == len(expected) + point_dies
+            assert cache.stats.invalidations == len(expected) + point_dies
+            assert {sig for sig in bounds if cache.get(sig, 0)[0]} == set(bounds) - expected
+            assert cache._ranged == set(bounds) - expected
+
     def test_global_entries_die_on_any_touch(self):
         cache = ResultCache(capacity=8)
         cache.put("topk", [1], 0, 0, global_dep=True)
@@ -515,6 +556,31 @@ def _wordcount_pipeline(executor, serving_shards, retain):
     pipe = ContinuousPipeline(source, CountBatcher(5), consumer)
     pipe.add_batch_listener(ServingBridge(server))
     return pipe, server
+
+
+def test_no_reader_pins_an_epoch_before_its_listeners_ran():
+    """The result cache invalidates in an epoch listener; a reader that
+    pinned the new epoch first would be served the previous epoch's cached
+    answers (the flake ``test_queries_during_ingestion_*`` used to show)."""
+    manager = EpochManager(num_shards=1)
+    manager.publish({"a": 1})
+    events = []
+
+    def listener(snapshot):
+        reader = threading.Thread(
+            target=lambda: events.append(("reader pinned", manager.latest().epoch))
+        )
+        reader.start()
+        reader.join(timeout=0.3)
+        events.append(("listener returns", snapshot.epoch))
+        readers.append(reader)
+
+    readers = []
+    manager.add_listener(listener)
+    manager.publish({"a": 2})
+    readers[0].join(timeout=10)
+    assert not readers[0].is_alive()
+    assert events == [("listener returns", 1), ("reader pinned", 1)]
 
 
 @pytest.mark.parametrize("executor", ["serial", "thread", "process"])

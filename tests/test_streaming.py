@@ -51,6 +51,7 @@ from repro.streaming import (
 from repro.streaming.batching import BatchFeedback
 
 from tests.conftest import fresh_cluster
+from tests.test_inciter import poisoned_delta
 
 # --------------------------------------------------------------------- #
 # delta decoding (hardened error path)                                  #
@@ -626,6 +627,51 @@ class TestPipelineResilience:
                 ReplaySource([], rate=1.0), CountBatcher(2),
                 _FlakyConsumer(1.0, {}), batch_retries=-1,
             )
+
+
+class TestPoisonStructureDelta:
+    """A structure delta the engine refuses (it deletes an absent pair)
+    is dead-lettered without having half-applied itself, so the batches
+    behind it refresh exactly as if it had never arrived."""
+
+    BATCH = 3
+
+    def _stream(self, records, batch_retries):
+        graph, consumer, _ = _pagerank_setup()
+        pipe = ContinuousPipeline(
+            ReplaySource(records, rate=50.0), CountBatcher(self.BATCH), consumer,
+            batch_retries=batch_retries,
+        )
+        with pipe:
+            result = pipe.run()
+            state = serialization.encode(sorted(consumer.state().items()))
+            parts = consumer.prev.parts
+        return pipe, result, state, parts
+
+    def test_poison_batch_is_dead_lettered_once_and_leaves_no_trace(self):
+        graph, probe, _ = _pagerank_setup()
+        poison, absent = poisoned_delta(probe.prev.parts, probe.job.algorithm)
+        probe.close()
+        good, _ = _recorded_web_deltas(graph, rounds=1)
+        good = good[: 4 * self.BATCH]
+
+        pipe, result, state, parts = self._stream(poison + good, batch_retries=2)
+        _, clean, clean_state, clean_parts = self._stream(good, batch_retries=2)
+
+        assert [b.dead_lettered for b in result.batches] == [True] + [False] * 4
+        (letter,) = pipe.dead_letters
+        assert letter.batch_index == 0 and letter.attempts == 3
+        # Every attempt stopped at the poison record — none at a record an
+        # earlier attempt had already applied.
+        assert "JobError" in letter.cause and str(absent) in letter.cause
+        assert state == clean_state
+        assert parts == clean_parts
+        assert [b.processing_s for b in result.batches[1:]] == [
+            b.processing_s for b in clean.batches
+        ]
+        assert [b.iterations for b in result.batches[1:]] == [
+            b.iterations for b in clean.batches
+        ]
 
 
 # --------------------------------------------------------------------- #

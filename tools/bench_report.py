@@ -129,6 +129,15 @@ def print_report(doc: dict, baseline: dict) -> None:
               f"over {grouped.get('distinct_keys')} string keys):")
         print(fmt_row("records", grouped.get("records_per_s"),
                       baseline.get("shuffle_grouped", {}).get("records_per_s"), "rec/s"))
+    sweep = doc.get("iter_sweep", {})
+    if sweep:
+        print(f"iterMR full sweep (pagerank, {sweep.get('vertices')} vertices, "
+              f"{sweep.get('map_output_records')} map output records):")
+        base_sweep = baseline.get("iter_sweep", {})
+        print(fmt_row("sweeps", sweep.get("sweeps_per_s"),
+                      base_sweep.get("sweeps_per_s"), "sweeps/s"))
+        print(fmt_row("sweeps, capture_chunks", sweep.get("capture_chunks_sweeps_per_s"),
+                      base_sweep.get("capture_chunks_sweeps_per_s"), "sweeps/s"))
     fig8 = doc.get("fig8", {})
     if fig8:
         print("fig8 end-to-end (pagerank):")
