@@ -1,9 +1,12 @@
 """Benchmark configuration.
 
-Each benchmark regenerates one of the paper's tables/figures and prints
-it (run with ``pytest benchmarks/ --benchmark-only -s`` to see the tables
-inline).  Scale defaults to ``test`` so the full suite stays fast; set
-``REPRO_BENCH_SCALE=small`` (or ``medium``) for closer-to-paper shapes.
+The files here time this reproduction's host-side hot paths (executors,
+sharding, resilience, serving, workset) with ``pytest-benchmark``; run
+``pytest benchmarks/ --benchmark-only -s`` to see their tables inline.
+The paper's own figures are not here: they run on the simulated clock
+and are pinned exactly by ``tests/test_sim_goldens.py``.  Scale defaults
+to ``test`` so the full suite stays fast; set ``REPRO_BENCH_SCALE=small``
+(or ``medium``) for closer-to-paper shapes.
 
 Simulated runtimes land in ``benchmark.extra_info`` so the JSON export
 carries the reproduced numbers alongside the wall-clock timings.

@@ -45,6 +45,12 @@ EXECUTOR_NAMES = ("serial", "thread", "process")
 #: What callers may pass wherever an executor is selected.
 ExecutorSpec = Union[None, str, ExecutionBackend]
 
+#: The one inline backend task-running code falls back to when its caller
+#: hands it no executor (the engines always pass one; tests, examples and
+#: benchmarks driving :func:`repro.iterative.engine.run_full_iteration` or
+#: a :class:`repro.iterative.workset.WorksetRunner` directly often don't).
+INLINE_BACKEND: ExecutionBackend = SerialBackend()
+
 
 def resolve_executor(
     spec: ExecutorSpec = None,
@@ -145,6 +151,22 @@ class ExecutorSelector:
             wrapper.fault_hook = self.task_fault_hook
         return wrapper
 
+    def for_job(self, conf: Any) -> ExecutionBackend:
+        """The resilient backend one job's task batches run on.
+
+        Every engine's ``backend_for`` is this call.  ``conf`` is a
+        ``JobConf`` or an ``IterativeJob``: its ``executor``
+        / ``max_workers`` pick the pool, and the pool comes wrapped in a
+        :class:`repro.resilience.ResilientExecutor` enforcing the job's
+        retry/timeout/speculation knobs (environment defaults where the
+        job sets none).
+        """
+        from repro.resilience.policy import RetryPolicy
+
+        return self.get(
+            conf.executor, conf.max_workers, resilience=RetryPolicy.for_job(conf)
+        )
+
     def close(self) -> None:
         """Shut down every backend and wrapper this selector created."""
         for wrapper in self._wrappers.values():
@@ -162,6 +184,7 @@ __all__ = [
     "ExecutorSelector",
     "ExecutorSpec",
     "ExecutorStats",
+    "INLINE_BACKEND",
     "ProcessBackend",
     "SerialBackend",
     "ThreadBackend",

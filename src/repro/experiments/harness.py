@@ -2,8 +2,9 @@
 
 Every experiment module exposes a ``run_*`` function returning an
 :class:`ExperimentResult` (headers + rows + notes) and a ``main`` that
-prints it, so the same code backs the pytest benchmarks, EXPERIMENTS.md
-and ad-hoc command-line runs (``python -m repro.experiments.fig8_overall``).
+prints it, so the same code backs the golden-pinned figure tests
+(``tests/test_sim_goldens.py``), docs/experiments.md and ad-hoc
+command-line runs (``python -m repro.experiments.fig8_overall``).
 
 Scale presets keep wall-clock time laptop-friendly: ``test`` for the test
 suite, ``small`` for benchmarks (the default), ``medium`` for

@@ -21,6 +21,10 @@ input.  Each iteration is an incremental one-step job (Fig 3):
 - **P∆ auto-off** (§5.2): when the delta-state proportion exceeds the
   threshold, MRBGraph maintenance shuts off and the remaining iterations
   fall back to full iterMR recomputation from the current state.
+
+The engine *is* an :class:`repro.iterative.engine.IterMREngine`: the initial
+run and every fallback go through its one preamble, stepper choice and
+convergence loop; the only loop written here is the fine-grain one.
 """
 
 from __future__ import annotations
@@ -30,40 +34,28 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.metrics import Counters, JobMetrics, StageTimes
-from repro.common import config
-from repro.common.errors import JobError
+from repro.common.errors import InvalidJobConf, JobError
 from repro.common.hashing import partition_for
-from repro.common.kvpair import DeltaRecord, Op, sort_key, sort_records
+from repro.common.kvpair import DeltaRecord, Op, group_sorted, sort_key, sort_records
 from repro.common.sizeof import columns_size, record_size
 from repro.dfs.filesystem import DistributedFS
-from repro.execution import (
-    ExecutionBackend,
-    ExecutorSelector,
-    ExecutorSpec,
-    SerialBackend,
-)
+from repro.execution import ExecutionBackend, ExecutorSpec
 from repro.incremental.state import PolicyFactory, PreservedJobState
 from repro.inciter.cpc import ChangePropagationControl
 from repro.inciter.state import PreservedIterState
 from repro.iterative.api import Dependency, IterationStats, IterativeJob
 from repro.iterative.engine import (
     MK_BYTES,
+    IterMREngine,
     IterMRResult,
-    run_full_iteration,
+    fold_outputs,
+    map_task_cost,
 )
-from repro.iterative.partitioning import (
-    StructureRecord,
-    partition_job_cost,
-    partition_structure,
-)
+from repro.iterative.partitioning import StructureRecord, partition_job_cost
 from repro.mrbgraph.graph import DeltaEdge
-from repro.resilience.policy import RetryPolicy
 
 #: Encoded overhead of the +/- op marker on a delta edge.
 _OP_BYTES = 2
-
-#: Fallback backend when no executor is supplied.
-_SERIAL_BACKEND = SerialBackend()
 
 
 @dataclass
@@ -149,6 +141,18 @@ class I2MROptions:
     #: ``None`` defers to the ``REPRO_WORKSET`` environment default.
     workset: Optional[bool] = None
 
+    def validate(self) -> None:
+        """Raise :class:`InvalidJobConf` on options that would silently
+        drop the delta (no iteration budget) or never run fine-grain."""
+        if self.max_iterations < 1:
+            raise InvalidJobConf("max_iterations must be at least 1")
+        if self.pdelta_threshold < 0:
+            raise InvalidJobConf("pdelta_threshold must be non-negative")
+        for name in ("epsilon", "filter_threshold"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise InvalidJobConf(f"{name} must be non-negative")
+
 
 @dataclass
 class I2MRResult:
@@ -176,7 +180,7 @@ class I2MRResult:
         return self.mrbg_disabled_at is not None
 
 
-class I2MREngine:
+class I2MREngine(IterMREngine):
     """The §5 engine: fine-grain incremental + general-purpose iterative."""
 
     def __init__(
@@ -189,31 +193,13 @@ class I2MREngine:
         num_shards: Optional[int] = None,
         compaction: Optional[str] = None,
     ) -> None:
-        self.cluster = cluster
-        self.dfs = dfs
+        super().__init__(cluster, dfs, executor)
         self.policy_factory = policy_factory
         self.store_root = store_root
-        self.executors = ExecutorSelector(executor, cost_model=cluster.cost_model)
         #: shards per preserved MRBG-Store (None = REPRO_SHARDS default).
         self.num_shards = num_shards
         #: MRBG-Store compaction policy name (None = REPRO_COMPACTION).
         self.compaction = compaction
-
-    def backend_for(self, job: IterativeJob) -> ExecutionBackend:
-        """The execution backend this job's task batches run on.
-
-        Wrapped in a :class:`repro.resilience.ResilientExecutor`
-        enforcing the job's retry/timeout/speculation knobs.
-        """
-        return self.executors.get(
-            getattr(job, "executor", None),
-            getattr(job, "max_workers", None),
-            resilience=RetryPolicy.for_job(job),
-        )
-
-    def close(self) -> None:
-        """Shut down any host worker pools the engine created."""
-        self.executors.close()
 
     # ------------------------------------------------------------------ #
     # initial converged run                                              #
@@ -225,64 +211,15 @@ class I2MREngine:
         structure_path: Optional[str] = None,
         initial_state: Optional[Dict[Any, Any]] = None,
     ) -> Tuple[IterMRResult, PreservedIterState]:
-        """Run job ``A_0`` to convergence, preserving state + MRBGraph."""
-        job.validate()
-        algorithm = job.algorithm
+        """Run job ``A_0`` to convergence, preserving state + MRBGraph.
+
+        An iterMR run of full sweeps that capture their MRBGraph chunks;
+        the last sweep's are built into the per-partition MRBG-Stores.
+        """
+        run_result, stepper = self._run(
+            job, structure_path, initial_state, capture_chunks=True
+        )
         cost = self.cluster.cost_model
-
-        if structure_path is None:
-            structure_path = f"/{algorithm.name}/structure"
-        if not self.dfs.exists(structure_path):
-            self.dfs.write(structure_path, algorithm.structure_records(job.dataset))
-        dfs_file = self.dfs.file(structure_path)
-
-        records = self.dfs.read_all(structure_path)
-        parts = partition_structure(algorithm, records, job.num_partitions)
-        preprocess_s = partition_job_cost(
-            cost,
-            self.cluster.num_workers,
-            dfs_file.size_bytes,
-            dfs_file.num_records,
-            job.num_partitions,
-        )
-
-        state = dict(
-            initial_state
-            if initial_state is not None
-            else algorithm.initial_state(job.dataset)
-        )
-
-        metrics = JobMetrics()
-        metrics.times.startup = cost.job_startup_s + preprocess_s
-        backend = self.backend_for(job)
-        per_iteration: List[IterationStats] = []
-        converged = False
-        iterations = 0
-        last_chunks = None
-        for it in range(job.max_iterations):
-            result = run_full_iteration(
-                algorithm, parts, state, self.cluster, capture_chunks=True,
-                executor=backend,
-            )
-            state = result.new_state
-            last_chunks = result.chunks
-            iterations = it + 1
-            metrics.times.add(result.times)
-            metrics.counters.merge(result.counters)
-            per_iteration.append(
-                IterationStats(
-                    iteration=it,
-                    times=result.times,
-                    changed_keys=len(result.outputs),
-                    propagated_kv_pairs=len(result.outputs),
-                    total_difference=result.total_difference,
-                    mrbg_maintained=True,
-                )
-            )
-            if job.epsilon is not None and result.total_difference <= job.epsilon:
-                converged = True
-                break
-
         stores = PreservedJobState(
             num_reducers=job.num_partitions,
             root_dir=self.store_root,
@@ -293,30 +230,22 @@ class I2MREngine:
             num_workers=self.cluster.num_workers,
             compaction=self.compaction,
         )
-        if last_chunks is not None:
-            for q, chunk_list in enumerate(last_chunks):
-                if not chunk_list:
-                    continue
+        for q, chunk_list in enumerate(stepper.chunks):
+            if chunk_list:
                 store = stores.store_for(q)
                 store.build(chunk_list)
                 store.save_index()
         build_metrics = stores.store_metrics()
+        metrics = run_result.metrics
         metrics.times.merge = build_metrics.write_time_s * cost.data_scale
         metrics.counters.add("mrbg_bytes_written", build_metrics.bytes_written)
 
-        run_result = IterMRResult(
-            state=state,
-            iterations=iterations,
-            converged=converged,
-            per_iteration=per_iteration,
-            metrics=metrics,
-            preprocess_s=preprocess_s,
-            parts=parts,
+        return run_result, PreservedIterState(
+            algorithm=job.algorithm,
+            parts=run_result.parts,
+            state=run_result.state,
+            stores=stores,
         )
-        preserved = PreservedIterState(
-            algorithm=algorithm, parts=parts, state=state, stores=stores
-        )
-        return run_result, preserved
 
     # ------------------------------------------------------------------ #
     # incremental run                                                    #
@@ -332,14 +261,18 @@ class I2MREngine:
         """Run job ``A_i`` incrementally from job ``A_{i-1}``'s state."""
         job.validate()
         options = options or I2MROptions()
+        options.validate()
         algorithm = job.algorithm
         cost = self.cluster.cost_model
-        n = prev.num_partitions
-        workers = self.cluster.num_workers
         parts = prev.parts
-        replicated = parts.replicated_state
         state = dict(prev.state)
-        cpc = ChangePropagationControl(options.filter_threshold)
+        try:
+            # Refuse a delta that deletes an absent pair before it changes
+            # anything: the structure must keep matching the preserved
+            # MRBGraph and state, which a refused delta leaves untouched.
+            parts.check_delta(algorithm, delta_records)
+        except KeyError as exc:
+            raise JobError(f"bad delta: {exc}") from exc
 
         metrics = JobMetrics()
         metrics.times.startup = cost.job_startup_s
@@ -347,122 +280,60 @@ class I2MREngine:
             record_size(rec.key, rec.value) + _OP_BYTES for rec in delta_records
         )
         metrics.times.startup += partition_job_cost(
-            cost, workers, delta_bytes, max(1, len(delta_records)), n
+            cost, self.cluster.num_workers, delta_bytes,
+            max(1, len(delta_records)), prev.num_partitions,
         )
         metrics.counters.add("delta_structure_records", len(delta_records))
 
-        backend = self.backend_for(job)
-        mrbg_on = options.mrbg_enabled and prev.stores_valid
-        mrbg_disabled_at: Optional[int] = None if mrbg_on else 0
         per_iteration: List[IterationStats] = []
         state_history: List[Dict[Any, Any]] = []
         converged = False
-        iterations = 0
-        delta_state: Dict[Any, Any] = {}
-        use_workset = (
-            options.workset
-            if options.workset is not None
-            else config.DEFAULT_WORKSET
-        )
-        ws_runner = None
-
-        for it in range(options.max_iterations):
-            iterations = it + 1
-            if not mrbg_on:
-                if it == 0:
-                    self._apply_delta_to_structure(algorithm, parts, delta_records)
-                    self._reconcile_state_keys(algorithm, parts, state)
-                if use_workset:
-                    # Workset fallback: the first fallback iteration is
-                    # the priming sweep (every vertex dirty); later ones
-                    # re-map only the frontier the previous superstep
-                    # left dirty, and an empty frontier ends the run.
-                    if ws_runner is None:
-                        from repro.iterative.workset import WorksetRunner
-
-                        ws_runner = WorksetRunner(
-                            algorithm,
-                            parts,
-                            state,
-                            self.cluster,
-                            executor=backend,
-                            threshold=None,
-                        )
-                        stats = ws_runner.seed()
-                    else:
-                        stats = ws_runner.step()
-                    stats.iteration = it
-                    metrics.times.add(stats.times)
-                    per_iteration.append(stats)
-                    if options.record_states:
-                        state_history.append(dict(state))
-                    if (
-                        options.epsilon is not None
-                        and stats.total_difference <= options.epsilon
-                    ):
-                        converged = True
-                        break
-                    if not ws_runner.workset:
-                        converged = True
-                        break
-                    continue
-                full = run_full_iteration(
-                    algorithm, parts, state, self.cluster, executor=backend
+        mrbg_disabled_at: Optional[int] = None
+        if not (options.mrbg_enabled and prev.stores_valid):
+            # No MRBGraph to maintain: apply the (accepted) delta to the
+            # structure alone.  The preserved MRBGraph no longer matches
+            # it, so no later refresh may merge into it.
+            mrbg_disabled_at = 0
+            self._apply_delta_without_mrbgraph(algorithm, parts, state, delta_records)
+            prev.stores_valid = False
+        else:
+            backend = self.backend_for(job)
+            cpc = ChangePropagationControl(options.filter_threshold)
+            delta_state: Dict[Any, Any] = {}
+            for it in range(options.max_iterations):
+                stats, counters, delta_state = self._incremental_iteration(
+                    job, prev, state, delta_state,
+                    delta_records if it == 0 else None, cpc, options, it, backend,
                 )
-                state = full.new_state
-                metrics.times.add(full.times)
-                metrics.counters.merge(full.counters)
-                per_iteration.append(
-                    IterationStats(
-                        iteration=it,
-                        times=full.times,
-                        changed_keys=len(full.outputs),
-                        propagated_kv_pairs=len(full.outputs),
-                        total_difference=full.total_difference,
-                        mrbg_maintained=False,
-                        scheduled_map_tasks=n,
-                        scheduled_reduce_tasks=n,
-                        touched_vertices=sum(len(g) for g in parts.groups),
-                    )
-                )
+                metrics.times.add(stats.times)
+                metrics.counters.merge(counters)
+                per_iteration.append(stats)
                 if options.record_states:
                     state_history.append(dict(state))
-                if (
-                    options.epsilon is not None
-                    and full.total_difference <= options.epsilon
-                ):
+                if not delta_state:
                     converged = True
                     break
-                continue
+                # §5.2 auto-off: detect an over-costly delta proportion.
+                if len(delta_state) / max(1, len(state)) > options.pdelta_threshold:
+                    mrbg_disabled_at = it + 1
+                    prev.stores_valid = False
+                    metrics.counters.add("mrbg_auto_disabled", 1)
+                    break
 
-            stats = self._incremental_iteration(
-                job, prev, state, delta_state, delta_records if it == 0 else None,
-                cpc, options, it, backend,
+        if mrbg_disabled_at is not None:
+            # The recompute fallback: iterMR from the current state, with
+            # whatever the fine-grain iterations left of the budget.
+            stepper = self._stepper(job, parts, state, options.workset)
+            converged = self._converge(
+                stepper, metrics, per_iteration, options.max_iterations,
+                options.epsilon, state_history if options.record_states else None,
             )
-            metrics.times.add(stats.times)
-            metrics.counters.merge(stats.counters)
-            per_iteration.append(stats)
-            delta_state = stats.next_delta_state
-            if options.record_states:
-                state_history.append(dict(state))
+            state = stepper.state
 
-            # §5.2 auto-off: detect an over-costly delta proportion.
-            pdelta = len(delta_state) / max(1, len(state))
-            if pdelta > options.pdelta_threshold:
-                mrbg_on = False
-                mrbg_disabled_at = it + 1
-                prev.stores_valid = False
-                metrics.counters.add("mrbg_auto_disabled", 1)
-            if not delta_state:
-                converged = True
-                break
-
-        if ws_runner is not None:
-            metrics.counters.merge(ws_runner.counters)
         prev.state = state
         return I2MRResult(
             state=state,
-            iterations=iterations,
+            iterations=len(per_iteration),
             converged=converged,
             per_iteration=per_iteration,
             metrics=metrics,
@@ -484,8 +355,14 @@ class I2MREngine:
         cpc: ChangePropagationControl,
         options: I2MROptions,
         iteration: int,
-        backend: Optional[ExecutionBackend] = None,
-    ) -> "_IterOutcome":
+        backend: ExecutionBackend,
+    ) -> Tuple[IterationStats, Counters, Dict[Any, Any]]:
+        """One fine-grain iteration (Fig 3): delta map, MRBGraph merge,
+        Reduce of the affected K2s, CPC filter.
+
+        Returns the iteration's record, its counters and the delta state
+        — the changed ``{DK: DV}`` — that drives the next iteration.
+        """
         algorithm = job.algorithm
         cost = self.cluster.cost_model
         parts = prev.parts
@@ -508,8 +385,8 @@ class I2MREngine:
             )
         else:
             map_tasks, touched_vertices = self._map_delta_state(
-                algorithm, parts, state, delta_state, delta_edges, edge_bytes,
-                map_loads, counters, backend,
+                algorithm, parts, delta_state, delta_edges, edge_bytes, map_loads,
+                counters, backend,
             )
         times.map = max(map_loads) if map_loads else 0.0
         reduce_tasks = sum(1 for q in range(n) if delta_edges[q])
@@ -537,8 +414,6 @@ class I2MREngine:
         reduce_loads = [0.0] * workers
         changed_outputs: List[Tuple[Any, Any]] = []
         removed_set = set(removed_dks)
-        store_read_total = 0.0
-        store_write_total = 0.0
         store_reads_total = 0
         store_bytes_read_total = 0
         store_bytes_written_total = 0
@@ -546,24 +421,10 @@ class I2MREngine:
         for q in range(n):
             if not delta_edges[q]:
                 continue
-            groups: List[Tuple[Any, List[DeltaEdge]]] = []
-            current_key: Any = None
-            current: List[DeltaEdge] = []
-            for k2, edge in delta_edges[q]:
-                if current and k2 == current_key:
-                    current.append(edge)
-                else:
-                    if current:
-                        groups.append((current_key, current))
-                    current_key = k2
-                    current = [edge]
-            if current:
-                groups.append((current_key, current))
-
             store = prev.stores.store_for(q)
             snap = store.metrics.snapshot()
             values_processed = 0
-            for k2, entries in store.merge_delta(groups):
+            for k2, entries in store.merge_delta(list(group_sorted(delta_edges[q]))):
                 if k2 in removed_set:
                     continue
                 if (
@@ -581,8 +442,6 @@ class I2MREngine:
                 part_delta.read_time_s + part_delta.write_time_s
             ) * cost.data_scale
             reduce_loads[q % workers] += store_time
-            store_read_total += part_delta.read_time_s * cost.data_scale
-            store_write_total += part_delta.write_time_s * cost.data_scale
             store_reads_total += part_delta.io_reads
             store_bytes_read_total += part_delta.bytes_read
             store_bytes_written_total += part_delta.bytes_written
@@ -611,30 +470,11 @@ class I2MREngine:
         counters.add("affected_reduce_instances", len(changed_outputs))
 
         # --------------------- assemble + CPC filter ------------------- #
-        if replicated:
-            affected_keys = list(state.keys())
-        else:
-            affected_keys = [k2 for k2, _ in changed_outputs]
-        prev_values = {key: state.get(key) for key in affected_keys}
-        algorithm.assemble_state(state, changed_outputs)
-
-        next_delta_state: Dict[Any, Any] = {}
-        total_difference = 0.0
-        changed_state_bytes = 0
-        for key in affected_keys:
-            new_value = state.get(key)
-            if new_value is None:
-                continue
-            old_value = prev_values.get(key)
-            if old_value is None:
-                propagate = True
-            else:
-                diff = algorithm.difference(new_value, old_value)
-                total_difference += diff
-                propagate = cpc.offer(key, diff)
-            if propagate:
-                next_delta_state[key] = new_value
-                changed_state_bytes += record_size(key, new_value)
+        total_difference, propagated = fold_outputs(
+            algorithm, state, changed_outputs, replicated, cpc.offer
+        )
+        next_delta_state = {key: state[key] for key in propagated}
+        changed_state_bytes = sum(record_size(key, state[key]) for key in propagated)
 
         times.reduce = max(reduce_loads) + cost.disk_write_time(changed_state_bytes)
         counters.add("mrbg_reads", store_reads_total)
@@ -647,7 +487,7 @@ class I2MREngine:
                 ckpt_bytes * max(0, self.dfs.replication - 1)
             )
 
-        outcome = _IterOutcome(
+        stats = IterationStats(
             iteration=iteration,
             times=times,
             changed_keys=len(changed_outputs),
@@ -659,9 +499,7 @@ class I2MREngine:
             touched_vertices=touched_vertices,
             workset_size=len(next_delta_state),
         )
-        outcome.counters = counters
-        outcome.next_delta_state = next_delta_state
-        return outcome
+        return stats, counters, next_delta_state
 
     # ------------------------------------------------------------------ #
     # delta map phases                                                   #
@@ -688,7 +526,6 @@ class I2MREngine:
         cost = self.cluster.cost_model
         n = parts.num_partitions
         workers = self.cluster.num_workers
-        _check_delta(algorithm, parts, delta_records)
         per_partition: Dict[int, List[DeltaRecord]] = {}
         for rec in delta_records:
             p = parts.partition_of(algorithm, rec.key)
@@ -722,25 +559,17 @@ class I2MREngine:
                     dv = algorithm.init_state_value(dk)
                 outs = algorithm.map_instance(sk, sv, dk, dv)
                 emitted += len(outs)
-                if op is Op.DELETE:
-                    for k2, _ in outs:
-                        q = partition_for(k2, n)
-                        delta_edges[q].append((k2, DeltaEdge(mk, None, Op.DELETE)))
-                        nbytes = record_size(k2, None) + MK_BYTES + _OP_BYTES
-                        edge_bytes[q] += nbytes
-                        emitted_bytes += nbytes
-                else:
-                    for k2, v2 in outs:
-                        q = partition_for(k2, n)
-                        delta_edges[q].append((k2, DeltaEdge(mk, v2, Op.INSERT)))
-                        nbytes = record_size(k2, v2) + MK_BYTES + _OP_BYTES
-                        edge_bytes[q] += nbytes
-                        emitted_bytes += nbytes
-            task_cost = cost.disk_read_time(read_bytes)
-            task_cost += cost.cpu_time(len(recs), algorithm.map_cpu_weight)
-            task_cost += cost.sort_time(emitted)
-            task_cost += cost.disk_write_time(emitted_bytes)
-            map_loads[p % workers] += task_cost
+                for k2, v2 in outs:
+                    if op is Op.DELETE:
+                        v2 = None  # a deletion edge names its MK, not a value
+                    q = partition_for(k2, n)
+                    delta_edges[q].append((k2, DeltaEdge(mk, v2, op)))
+                    nbytes = record_size(k2, v2) + MK_BYTES + _OP_BYTES
+                    edge_bytes[q] += nbytes
+                    emitted_bytes += nbytes
+            map_loads[p % workers] += map_task_cost(
+                cost, algorithm, read_bytes, len(recs), emitted, emitted_bytes
+            )
         for dk in sorted(removal_candidates, key=sort_key):
             p = partition_for(dk, parts.num_partitions)
             if dk not in parts.groups[p]:
@@ -752,13 +581,12 @@ class I2MREngine:
         self,
         algorithm: Any,
         parts: Any,
-        state: Dict[Any, Any],
         delta_state: Dict[Any, Any],
         delta_edges: List[List[Tuple[Any, DeltaEdge]]],
         edge_bytes: List[int],
         map_loads: List[float],
         counters: Counters,
-        backend: Optional[ExecutionBackend] = None,
+        backend: ExecutionBackend,
     ) -> Tuple[int, int]:
         """Iteration j ≥ 2: map the structure kv-pairs whose interdependent
         state kv-pair changed (§5.1).
@@ -772,33 +600,19 @@ class I2MREngine:
         cost = self.cluster.cost_model
         n = parts.num_partitions
         workers = self.cluster.num_workers
-        replicated = parts.replicated_state
-
-        per_partition: Dict[int, List[Tuple[Any, Any]]] = {}
-        for dk, dv in delta_state.items():
-            if replicated:
-                for p in range(n):
-                    if dk in parts.groups[p]:
-                        per_partition.setdefault(p, []).append((dk, dv))
-            else:
-                p = partition_for(dk, n)
-                if dk in parts.groups[p]:
-                    per_partition.setdefault(p, []).append((dk, dv))
-
+        per_partition = parts.partitions_holding(delta_state)
         payloads = [
             DeltaStateMapPayload(
                 partition=p,
                 groups=[
-                    (dk, dv, list(parts.groups[p].get(dk, ())))
-                    for dk, dv in dk_list
+                    (dk, delta_state[dk], list(parts.groups[p][dk])) for dk in dks
                 ],
                 algorithm=algorithm,
                 num_partitions=n,
             )
-            for p, dk_list in sorted(per_partition.items())
+            for p, dks in sorted(per_partition.items())
         ]
-        runner = backend or _SERIAL_BACKEND
-        runs = runner.run_tasks(execute_delta_state_map_task, payloads)
+        runs = backend.run_tasks(execute_delta_state_map_task, payloads)
 
         instances = 0
         for run in sorted(runs, key=lambda r: r.partition):
@@ -806,11 +620,10 @@ class I2MREngine:
             for q in sorted(run.per_q):
                 delta_edges[q].extend(run.per_q[q])
                 edge_bytes[q] += run.edge_bytes_per_q[q]
-            task_cost = cost.disk_read_time(run.read_bytes)
-            task_cost += cost.cpu_time(run.pairs_done, algorithm.map_cpu_weight)
-            task_cost += cost.sort_time(run.emitted)
-            task_cost += cost.disk_write_time(run.emitted_bytes)
-            map_loads[p % workers] += task_cost
+            map_loads[p % workers] += map_task_cost(
+                cost, algorithm, run.read_bytes, run.pairs_done, run.emitted,
+                run.emitted_bytes,
+            )
             instances += run.pairs_done
         counters.add("delta_map_instances", instances)
         return len(payloads), sum(len(v) for v in per_partition.values())
@@ -820,55 +633,31 @@ class I2MREngine:
     # ------------------------------------------------------------------ #
 
     @staticmethod
-    def _reconcile_state_keys(algorithm: Any, parts: Any, state: Dict[Any, Any]) -> None:
-        """Align the state key set with the structure after a raw delta.
+    def _apply_delta_without_mrbgraph(
+        algorithm: Any,
+        parts: Any,
+        state: Dict[Any, Any],
+        delta_records: List[DeltaRecord],
+    ) -> None:
+        """Apply a structure delta with no incremental processing, then
+        align the state key set with the structure.
 
         The fine-grain path prunes removed state keys and seeds brand-new
-        ones as it merges; when MRBGraph maintenance is off from the start
-        (stores invalidated by a previous auto-off) the fallback path must
-        do the same reconciliation explicitly.  Only one-to-one
-        dependencies tie the state domain to the structure keys.
+        ones as it merges; a fallback entered with MRBGraph maintenance
+        off (by option, or stores invalidated by an earlier auto-off) must
+        reconcile explicitly.  Only one-to-one dependencies tie the state
+        domain to the structure keys.
         """
+        for rec in delta_records:
+            mutate = parts.delete_pair if rec.op is Op.DELETE else parts.insert_pair
+            mutate(algorithm, rec.key, rec.value)
         if algorithm.dependency is not Dependency.ONE_TO_ONE:
             return
         live: set = set()
-        for partition in range(parts.num_partitions):
-            live.update(parts.groups[partition].keys())
+        for group in parts.groups:
+            live.update(group)
         for stale in [dk for dk in state if dk not in live]:
             del state[stale]
         for dk in live:
             if dk not in state:
                 state[dk] = algorithm.init_state_value(dk)
-
-    @staticmethod
-    def _apply_delta_to_structure(
-        algorithm: Any,
-        parts: Any,
-        delta_records: List[DeltaRecord],
-    ) -> None:
-        """Apply a structure delta without incremental processing (used by
-        the fallback path when MRBGraph maintenance is off from the
-        start)."""
-        _check_delta(algorithm, parts, delta_records)
-        for rec in delta_records:
-            if rec.op is Op.DELETE:
-                parts.delete_pair(algorithm, rec.key, rec.value)
-            else:
-                parts.insert_pair(algorithm, rec.key, rec.value)
-
-
-def _check_delta(algorithm: Any, parts: Any, delta_records: List[DeltaRecord]) -> None:
-    """Refuse a delta that deletes an absent pair before it changes
-    anything: the structure must keep matching the preserved MRBGraph and
-    state, which a refused delta leaves untouched."""
-    try:
-        parts.check_delta(algorithm, delta_records)
-    except KeyError as exc:
-        raise JobError(f"bad delta: {exc}") from exc
-
-
-class _IterOutcome(IterationStats):
-    """IterationStats plus the engine-internal iteration products."""
-
-    counters: Counters
-    next_delta_state: Dict[Any, Any]

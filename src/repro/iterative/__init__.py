@@ -16,11 +16,7 @@ from repro.iterative.partitioning import (
 # Imported after the engine: repro.iterative.workset pulls in
 # repro.inciter.cpc, whose package imports the inciter engine, which
 # imports the iterative modules above.
-from repro.iterative.workset import (  # noqa: E402  (documented order)
-    PartitionRouter,
-    Workset,
-    WorksetRunner,
-)
+from repro.iterative.workset import Workset, WorksetRunner  # noqa: E402  (documented order)
 
 __all__ = [
     "Dependency",
@@ -34,7 +30,6 @@ __all__ = [
     "PartitionedStructure",
     "partition_structure",
     "state_partition",
-    "PartitionRouter",
     "Workset",
     "WorksetRunner",
 ]

@@ -11,17 +11,25 @@ Improvements over vanilla MapReduce, as the paper describes:
   prime Map task *i* and produces exactly the state partition *i*, so
   updated state flows to the next iteration without network traffic.
 
-The per-iteration computation lives in :func:`run_full_iteration`, shared
-with the incremental-iterative engine (which falls back to it when the
-delta proportion ``P∆`` trips the MRBGraph auto-off, §5.2).
+The per-iteration computation lives in :func:`run_full_iteration`.
+
+:class:`IterMREngine` is also *the* iterative driver of the library: one
+set-up preamble, one choice between full sweeps and workset supersteps,
+and one convergence loop over a *stepper*.  The incremental-iterative
+engine (:class:`repro.inciter.engine.I2MREngine`) is built on it, as the
+paper builds i2MapReduce on iterMR: its initial run is this run with the
+last MRBGraph captured (§5.1), and its recompute fallback — stores
+invalid, MRBGraph off, or the ``P∆`` auto-off of §5.2 — is this loop
+continued from the current state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.cluster import Cluster
+from repro.cluster.costmodel import CostModel
 from repro.cluster.metrics import Counters, JobMetrics, StageTimes
 from repro.common import config
 from repro.common.hashing import partition_for
@@ -29,12 +37,12 @@ from repro.common.kvpair import sort_key, sort_records
 from repro.common.sizeof import columns_size, record_size
 from repro.dfs.filesystem import DistributedFS
 from repro.execution import (
+    INLINE_BACKEND,
     ExecutionBackend,
     ExecutorSelector,
     ExecutorSpec,
-    SerialBackend,
 )
-from repro.iterative.api import Dependency, IterationStats, IterativeJob
+from repro.iterative.api import IterationStats, IterativeJob
 from repro.iterative.partitioning import (
     PartitionedStructure,
     StructureRecord,
@@ -42,7 +50,6 @@ from repro.iterative.partitioning import (
     partition_structure,
     state_bytes_by_partition,
 )
-from repro.resilience.policy import RetryPolicy
 
 #: Encoded overhead of shipping the globally unique MK with each
 #: intermediate kv-pair (one tagged 64-bit int), charged only when the
@@ -50,8 +57,63 @@ from repro.resilience.policy import RetryPolicy
 #: along with <K2, V2> during the shuffle phase").
 MK_BYTES = 9
 
-#: Fallback backend when no executor is supplied.
-_SERIAL = SerialBackend()
+
+def map_task_cost(
+    cost: CostModel,
+    algorithm: Any,
+    read_bytes: int,
+    pairs: int,
+    emitted: int,
+    emitted_bytes: int,
+) -> float:
+    """Simulated seconds of one prime Map task, full sweep or delta alike.
+
+    Read its input, run ``pairs`` Map instances, sort and spill the output."""
+    return (
+        cost.disk_read_time(read_bytes)
+        + cost.cpu_time(pairs, algorithm.map_cpu_weight)
+        + cost.sort_time(emitted)
+        + cost.disk_write_time(emitted_bytes)
+    )
+
+
+def fold_outputs(
+    algorithm: Any,
+    state: Dict[Any, Any],
+    outputs: List[Tuple[Any, Any]],
+    replicated: bool,
+    offer: Optional[Callable[[Any, float], bool]] = None,
+) -> Tuple[float, List[Any]]:
+    """Assemble prime-Reduce ``outputs`` into ``state`` in place.
+
+    Returns the summed ``difference`` against the previous values and the
+    keys whose change must propagate: brand-new keys always, changed keys
+    when ``offer(key, difference)`` (a CPC filter) accepts them — none of
+    the latter without an ``offer``.  Co-partitioned state compares each
+    output with the value it replaces; replicated state is re-assembled
+    first (one composite value absorbs many outputs) and compared whole.
+    """
+    total_difference = 0.0
+    propagate: List[Any] = []
+    if replicated:
+        previous = dict(state)
+        algorithm.assemble_state(state, outputs)
+        candidates = state.items()
+    else:
+        previous = state
+        candidates = outputs
+    for dk, dv in candidates:
+        old = previous.get(dk)
+        if old is None:
+            propagate.append(dk)
+            continue
+        diff = algorithm.difference(dv, old)
+        total_difference += diff
+        if offer is not None and offer(dk, diff):
+            propagate.append(dk)
+    if not replicated:
+        algorithm.assemble_state(state, outputs)
+    return total_difference, propagate
 
 
 # ---------------------------------------------------------------------- #
@@ -225,7 +287,7 @@ def run_full_iteration(
     counters = Counters()
     times = StageTimes()
     replicated = parts.replicated_state
-    backend = executor or _SERIAL
+    backend = executor or INLINE_BACKEND
 
     state_sizes = state_bytes_by_partition(state, n, replicated)
 
@@ -259,10 +321,10 @@ def run_full_iteration(
         for q in sorted(run.per_q):
             intermediate[q].extend(run.per_q[q])
             shuffle_bytes[q] += run.bytes_per_q[q]
-        task_cost = cost.disk_read_time(parts.structure_bytes[p] + state_sizes[p])
-        task_cost += cost.cpu_time(parts.num_pairs[p], algorithm.map_cpu_weight)
-        task_cost += cost.sort_time(run.emitted)
-        task_cost += cost.disk_write_time(run.emitted_bytes)
+        task_cost = map_task_cost(
+            cost, algorithm, parts.structure_bytes[p] + state_sizes[p],
+            parts.num_pairs[p], run.emitted, run.emitted_bytes,
+        )
         map_loads[p % workers] += task_cost
         map_task_costs.append(task_cost)
         counters.add("map_output_records", run.emitted)
@@ -306,8 +368,6 @@ def run_full_iteration(
     chunks: Optional[List[List[Tuple[Any, List[Tuple[int, Any]]]]]] = (
         [[] for _ in range(n)] if capture_chunks else None
     )
-    new_state = dict(state)
-    total_difference = 0.0
 
     state_keys_by_part: List[List[Any]] = [[] for _ in range(n)]
     if not replicated:
@@ -341,22 +401,11 @@ def run_full_iteration(
         counters.add("reduce_values", run.values_processed)
 
     # Fold outputs into the state and measure the total change.
+    new_state = dict(state)
+    total_difference, _ = fold_outputs(algorithm, new_state, outputs, replicated)
     if replicated:
-        prev_state = dict(state)
-        algorithm.assemble_state(new_state, outputs)
-        for dk, dv in new_state.items():
-            old = prev_state.get(dk)
-            if old is not None:
-                total_difference += algorithm.difference(dv, old)
-    else:
-        for dk, dv in outputs:
-            old = state.get(dk)
-            if old is not None:
-                total_difference += algorithm.difference(dv, old)
-        algorithm.assemble_state(new_state, outputs)
         # Replicating the small state back to every partition costs one
         # broadcast; co-partitioned algorithms pay nothing (§4.3).
-    if replicated:
         state_total = sum(record_size(dk, dv) for dk, dv in new_state.items())
         broadcast = cost.net_time(state_total * max(0, n - 1))
         reduce_loads[0] += broadcast
@@ -399,6 +448,53 @@ class IterMRResult:
         return self.metrics.total_time
 
 
+@dataclass
+class FullSweepStepper:
+    """The bulk stepper: every step is one :func:`run_full_iteration`.
+
+    A *stepper* is what :meth:`IterMREngine._converge` drives — this class
+    or a :class:`repro.iterative.workset.WorksetRunner`: ``advance(it)``
+    runs one iteration and returns its :class:`IterationStats`,
+    ``exhausted`` says nothing is left to do (never, for full sweeps: only
+    epsilon or the budget stops them), ``state`` is the live state and
+    ``counters`` what the steps tallied.  With ``capture_chunks``,
+    ``chunks`` keeps the last sweep's MRBGraph — all §5.1 preserves.
+    """
+
+    algorithm: Any
+    parts: PartitionedStructure
+    state: Dict[Any, Any]
+    cluster: Cluster
+    executor: Optional[ExecutionBackend] = None
+    capture_chunks: bool = False
+    fault_context: Optional[Any] = None
+    counters: Counters = field(default_factory=Counters)
+    chunks: Optional[List[List[Tuple[Any, List[Tuple[int, Any]]]]]] = None
+
+    exhausted = False
+
+    def advance(self, iteration: int) -> IterationStats:
+        """Sweep every structure partition once; ``state`` is replaced."""
+        result = run_full_iteration(
+            self.algorithm, self.parts, self.state, self.cluster,
+            self.capture_chunks, self.fault_context, self.executor,
+        )
+        self.state = result.new_state
+        self.chunks = result.chunks
+        self.counters.merge(result.counters)
+        return IterationStats(
+            iteration=iteration,
+            times=result.times,
+            changed_keys=len(result.outputs),
+            propagated_kv_pairs=len(result.outputs),
+            total_difference=result.total_difference,
+            mrbg_maintained=self.capture_chunks,
+            scheduled_map_tasks=self.parts.num_partitions,
+            scheduled_reduce_tasks=self.parts.num_partitions,
+            touched_vertices=sum(len(g) for g in self.parts.groups),
+        )
+
+
 class IterMREngine:
     """Runs :class:`IterativeJob` computations with the §4 optimizations.
 
@@ -418,14 +514,9 @@ class IterMREngine:
         self.executors = ExecutorSelector(executor, cost_model=cluster.cost_model)
 
     def backend_for(self, job: IterativeJob) -> ExecutionBackend:
-        """The execution backend this job's prime task batches run on.
-
-        Wrapped in a :class:`repro.resilience.ResilientExecutor`
-        enforcing the job's retry/timeout/speculation knobs.
-        """
-        return self.executors.get(
-            job.executor, job.max_workers, resilience=RetryPolicy.for_job(job)
-        )
+        """The resilient execution backend this job's task batches run on
+        (:meth:`repro.execution.ExecutorSelector.for_job`)."""
+        return self.executors.for_job(job)
 
     def close(self) -> None:
         """Shut down any host worker pools the engine created."""
@@ -452,120 +543,127 @@ class IterMREngine:
             charge_preprocess: include the partition job in the reported
                 time (Fig 8 includes it; Fig 9 excludes it).
         """
+        return self._run(
+            job, structure_path, initial_state, parts, charge_preprocess, fault_context
+        )[0]
+
+    # ------------------------------------------------------------------ #
+    # the iterative driver: preamble, stepper choice, convergence loop   #
+    # ------------------------------------------------------------------ #
+
+    def _run(
+        self, job: IterativeJob, structure_path: Optional[str] = None,
+        initial_state: Optional[Dict[Any, Any]] = None,
+        parts: Optional[PartitionedStructure] = None, charge_preprocess: bool = True,
+        fault_context: Optional[Any] = None, capture_chunks: bool = False,
+    ) -> Tuple[IterMRResult, Any]:
+        """:meth:`run`, handing back the stepper too — the incremental
+        engine's initial run reads the captured chunks off it (§5.1)."""
         job.validate()
         algorithm = job.algorithm
         cost = self.cluster.cost_model
 
+        # The set-up preamble (§4.3): structure on the DFS, partitioned
+        # and cached by a priced preprocessing job unless the caller
+        # brings ``parts``; a private copy of the starting state.
         if structure_path is None:
             structure_path = f"/{algorithm.name}/structure"
         if not self.dfs.exists(structure_path):
             self.dfs.write(structure_path, algorithm.structure_records(job.dataset))
-        dfs_file = self.dfs.file(structure_path)
-
         preprocess_s = 0.0
         if parts is None:
+            dfs_file = self.dfs.file(structure_path)
             records = self.dfs.read_all(structure_path)
             parts = partition_structure(algorithm, records, job.num_partitions)
             preprocess_s = partition_job_cost(
-                cost,
-                self.cluster.num_workers,
-                dfs_file.size_bytes,
-                dfs_file.num_records,
-                job.num_partitions,
+                cost, self.cluster.num_workers, dfs_file.size_bytes,
+                dfs_file.num_records, job.num_partitions,
             )
-
-        state = dict(
-            initial_state
-            if initial_state is not None
-            else algorithm.initial_state(job.dataset)
-        )
+        if initial_state is None:
+            initial_state = algorithm.initial_state(job.dataset)
+        state = dict(initial_state)
 
         metrics = JobMetrics()
         metrics.times.startup = cost.job_startup_s
         if charge_preprocess:
             metrics.times.startup += preprocess_s
-
-        backend = self.backend_for(job)
-        per_iteration: List[IterationStats] = []
-        converged = False
-        iterations = 0
-        use_workset = (
-            job.workset if job.workset is not None else config.DEFAULT_WORKSET
+        stepper = self._stepper(
+            job, parts, state, job.workset, job.workset_threshold,
+            capture_chunks, fault_context,
         )
-        if use_workset:
-            # Workset-driven delta iteration (Ewen et al.): superstep 0
-            # is the priming full sweep; later supersteps re-map only
-            # the dirty frontier and the loop stops when it drains empty
-            # (the exact fixpoint) — fault_context is a full-sweep-only
-            # feature and is ignored here.
-            from repro.iterative.workset import WorksetRunner
-
-            runner = WorksetRunner(
-                algorithm,
-                parts,
-                state,
-                self.cluster,
-                executor=backend,
-                threshold=job.workset_threshold,
-            )
-            for it in range(job.max_iterations):
-                stats = runner.seed() if it == 0 else runner.step()
-                iterations = it + 1
-                metrics.times.add(stats.times)
-                per_iteration.append(stats)
-                if job.epsilon is not None and stats.total_difference <= job.epsilon:
-                    converged = True
-                    break
-                if not runner.workset:
-                    converged = True
-                    break
-            metrics.counters.merge(runner.counters)
-            return IterMRResult(
-                state=runner.state,
-                iterations=iterations,
-                converged=converged,
-                per_iteration=per_iteration,
-                metrics=metrics,
-                preprocess_s=preprocess_s,
-                parts=parts,
-            )
-
-        full_touched = sum(len(g) for g in parts.groups)
-        for it in range(job.max_iterations):
-            result = run_full_iteration(
-                algorithm,
-                parts,
-                state,
-                self.cluster,
-                fault_context=fault_context,
-                executor=backend,
-            )
-            state = result.new_state
-            iterations = it + 1
-            metrics.times.add(result.times)
-            metrics.counters.merge(result.counters)
-            per_iteration.append(
-                IterationStats(
-                    iteration=it,
-                    times=result.times,
-                    changed_keys=len(result.outputs),
-                    propagated_kv_pairs=len(result.outputs),
-                    total_difference=result.total_difference,
-                    scheduled_map_tasks=parts.num_partitions,
-                    scheduled_reduce_tasks=parts.num_partitions,
-                    touched_vertices=full_touched,
-                )
-            )
-            if job.epsilon is not None and result.total_difference <= job.epsilon:
-                converged = True
-                break
-
+        per_iteration: List[IterationStats] = []
+        converged = self._converge(
+            stepper, metrics, per_iteration, job.max_iterations, job.epsilon
+        )
         return IterMRResult(
-            state=state,
-            iterations=iterations,
+            state=stepper.state,
+            iterations=len(per_iteration),
             converged=converged,
             per_iteration=per_iteration,
             metrics=metrics,
             preprocess_s=preprocess_s,
             parts=parts,
+        ), stepper
+
+    def _stepper(
+        self, job: IterativeJob, parts: PartitionedStructure, state: Dict[Any, Any],
+        workset: Optional[bool], threshold: Optional[float] = None,
+        capture_chunks: bool = False, fault_context: Optional[Any] = None,
+    ) -> Any:
+        """Full sweeps or workset supersteps — decided here and only here.
+
+        ``workset`` is the caller's knob (``IterativeJob.workset`` or
+        ``I2MROptions.workset``); ``None`` defers to ``REPRO_WORKSET``.
+        A workset run (Ewen et al.) primes its caches with one full sweep,
+        then re-maps only the dirty frontier (filtered by ``threshold``)
+        and is exhausted when it drains — the exact fixpoint.  It keeps no
+        MRBGraph chunks, so ``capture_chunks`` takes the bulk stepper, and
+        ``fault_context`` is a full-sweep-only feature it ignores.
+        """
+        backend = self.backend_for(job)
+        if workset is None:
+            workset = config.DEFAULT_WORKSET
+        if workset and not capture_chunks:
+            # Imported late: the workset module pulls in repro.inciter.cpc,
+            # whose package imports this module.
+            from repro.iterative.workset import WorksetRunner
+
+            return WorksetRunner(
+                job.algorithm, parts, state, self.cluster,
+                executor=backend, threshold=threshold,
+            )
+        return FullSweepStepper(
+            job.algorithm, parts, state, self.cluster, backend,
+            capture_chunks, fault_context,
         )
+
+    @staticmethod
+    def _converge(
+        stepper: Any, metrics: JobMetrics, per_iteration: List[IterationStats],
+        budget: int, epsilon: Optional[float],
+        history: Optional[List[Dict[Any, Any]]] = None,
+    ) -> bool:
+        """The convergence loop: step until epsilon, exhaustion or budget.
+
+        Iterations are numbered from ``len(per_iteration)``, so a fallback
+        taking over after fine-grain iteration *k* continues with *k + 1*
+        and what is left of ``budget``.  Each record is appended, its
+        times added to ``metrics`` and, given a ``history``, a snapshot of
+        the state kept.  Returns whether the run converged: the summed
+        state change fell to ``epsilon`` or the stepper has nothing left
+        to do.
+        """
+        converged = False
+        for iteration in range(len(per_iteration), budget):
+            stats = stepper.advance(iteration)
+            metrics.times.add(stats.times)
+            per_iteration.append(stats)
+            if history is not None:
+                history.append(dict(stepper.state))
+            if stepper.exhausted or (
+                epsilon is not None and stats.total_difference <= epsilon
+            ):
+                converged = True
+                break
+        metrics.counters.merge(stepper.counters)
+        return converged

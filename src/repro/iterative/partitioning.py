@@ -124,6 +124,23 @@ class PartitionedStructure:
             return partition_for(sk, self.num_partitions)
         return partition_for(algorithm.project(sk), self.num_partitions)
 
+    def partitions_holding(self, dks: Iterable[Any]) -> Dict[int, List[Any]]:
+        """Route changed state keys to the prime Map tasks that must re-run.
+
+        ``{partition: [DK, ...]}`` (input order kept) for every partition
+        whose structure cache holds a group for the key: its one home
+        partition under co-partitioning, any number of them when the
+        state is replicated; keys no structure depends on route nowhere.
+        """
+        n = self.num_partitions
+        held: Dict[int, List[Any]] = {}
+        for dk in dks:
+            homes = range(n) if self.replicated_state else (partition_for(dk, n),)
+            for p in homes:
+                if dk in self.groups[p]:
+                    held.setdefault(p, []).append(dk)
+        return held
+
     def total_pairs(self) -> int:
         """Total structure kv-pairs across partitions."""
         return sum(self.num_pairs)

@@ -57,14 +57,11 @@ from repro.cluster.scheduler import (
 from repro.common.hashing import partition_for
 from repro.common.kvpair import sort_key
 from repro.common.sizeof import record_size
-from repro.execution import ExecutionBackend, SerialBackend
+from repro.execution import INLINE_BACKEND, ExecutionBackend
 from repro.inciter.cpc import ChangePropagationControl
 from repro.iterative.api import IterationStats
+from repro.iterative.engine import fold_outputs, map_task_cost
 from repro.iterative.partitioning import PartitionedStructure, StructureRecord
-from repro.mrbgraph.sharding import HashShardRouter, ShardRouter
-
-#: Fallback backend when no executor is supplied.
-_SERIAL = SerialBackend()
 
 #: An edge's identity within one K2 cache bucket: the globally unique MK
 #: of the emitting Map instance plus an occurrence index, because one Map
@@ -88,10 +85,6 @@ class Workset:
         """Mark ``key`` dirty."""
         self._keys.add(key)
 
-    def discard(self, key: Any) -> None:
-        """Unmark ``key`` (no-op when absent)."""
-        self._keys.discard(key)
-
     def clear(self) -> None:
         """Drain the frontier."""
         self._keys.clear()
@@ -100,46 +93,18 @@ class Workset:
         """Dirty keys in canonical sort order."""
         return sorted(self._keys, key=sort_key)
 
-    def partition_map(self, router: ShardRouter) -> Dict[int, List[Any]]:
-        """Group the dirty keys by the shard that owns them.
-
-        Returns ``{shard_id: [keys...]}`` with shard ids ascending and
-        keys in canonical order — exactly the partitions whose map tasks
-        the scheduler must materialize this superstep.
-        """
-        by_shard: Dict[int, List[Any]] = {}
-        for key in self.keys():
-            by_shard.setdefault(router.shard_for(key), []).append(key)
-        return {shard: by_shard[shard] for shard in sorted(by_shard)}
-
     def __len__(self) -> int:
         return len(self._keys)
 
     def __bool__(self) -> bool:
         return bool(self._keys)
 
-    def __contains__(self, key: Any) -> bool:
-        return key in self._keys
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Workset size={len(self._keys)}>"
 
 
-class PartitionRouter(HashShardRouter):
-    """Engine-partition routing exposed through the shard-router API.
-
-    :class:`repro.mrbgraph.sharding.HashShardRouter` routes through the
-    prime-task partitioner (:func:`repro.common.hashing.partition_for`),
-    so a dirty key's shard under this router *is* the partition whose
-    task gets scheduled; only the ``kind`` differs, naming what
-    :meth:`Workset.partition_map` is splitting.
-    """
-
-    kind = "partition"
-
-
 def workset_task_specs(
-    partition_map: Dict[int, List[Any]],
+    partitions: Iterable[int],
     costs: Dict[int, float],
     read_bytes: Dict[int, int],
     stage: str,
@@ -147,9 +112,9 @@ def workset_task_specs(
 ) -> List[ShardTaskSpec]:
     """Build shard-locality task specs for one workset stage.
 
-    One task per partition that holds dirty members; partitions absent
-    from ``partition_map`` get no task at all — that is the whole point
-    of workset execution.
+    One task per partition in ``partitions`` — those holding dirty
+    members; every other partition gets no task at all, which is the
+    whole point of workset execution.
     """
     return [
         ShardTaskSpec(
@@ -158,7 +123,7 @@ def workset_task_specs(
             shard_id=shard,
             read_bytes=read_bytes.get(shard, 0),
         )
-        for shard in sorted(partition_map)
+        for shard in sorted(partitions)
     ]
 
 
@@ -319,8 +284,7 @@ class WorksetRunner:
         self.parts = parts
         self.state = state
         self.cluster = cluster
-        self.backend = executor or _SERIAL
-        self.router = PartitionRouter(parts.num_partitions)
+        self.backend = executor or INLINE_BACKEND
         self.placement = ShardPlacement(
             num_shards=parts.num_partitions,
             num_workers=cluster.num_workers,
@@ -421,26 +385,20 @@ class WorksetRunner:
         affected: Set[Any] = set()
         costs: Dict[int, float] = {}
         reads: Dict[int, int] = {}
-        scheduled = {p: None for p in (r.partition for r in runs)}
         for run in sorted(runs, key=lambda r: r.partition):
             for dk, emissions in run.per_source:
                 self._apply_source(run.partition, dk, emissions, affected)
-            task_cost = cost.disk_read_time(run.read_bytes)
-            task_cost += cost.cpu_time(run.pairs_done, self.algorithm.map_cpu_weight)
-            task_cost += cost.sort_time(run.emitted)
-            task_cost += cost.disk_write_time(run.emitted_bytes)
-            costs[run.partition] = task_cost
+            costs[run.partition] = map_task_cost(
+                cost, self.algorithm, run.read_bytes, run.pairs_done,
+                run.emitted, run.emitted_bytes,
+            )
             reads[run.partition] = run.read_bytes
             self.counters.add("map_output_records", run.emitted)
             self.counters.add("map_output_bytes", run.emitted_bytes)
             self.counters.add("map_input_pairs", run.pairs_done)
-        specs = workset_task_specs(
-            {p: [] for p in scheduled}, costs, reads, "map", self._iteration
-        )
+        specs = workset_task_specs(costs.keys(), costs, reads, "map", self._iteration)
         if specs:
-            times.map = schedule_shard_stage(
-                specs, self.placement, cost
-            ).elapsed_s
+            times.map = schedule_shard_stage(specs, self.placement, cost).elapsed_s
         return affected, len(specs), touched
 
     def _run_reduce_stage(
@@ -518,13 +476,9 @@ class WorksetRunner:
             self.counters.add("shuffle_bytes", volume)
             self.counters.add("reduce_groups", len(run.outputs))
             self.counters.add("reduce_values", run.values_processed)
-        specs = workset_task_specs(
-            {q: [] for q in per_q}, costs, reads, "reduce", self._iteration
-        )
+        specs = workset_task_specs(per_q.keys(), costs, reads, "reduce", self._iteration)
         if specs:
-            times.reduce = schedule_shard_stage(
-                specs, self.placement, cost
-            ).elapsed_s
+            times.reduce = schedule_shard_stage(specs, self.placement, cost).elapsed_s
         if replicated and outputs:
             state_total = sum(
                 record_size(dk, dv) for dk, dv in self.state.items()
@@ -545,18 +499,13 @@ class WorksetRunner:
         — and the first dirty frontier is derived from the resulting state
         changes.
         """
-        per_partition: Dict[int, List[Any]] = {}
-        for p in range(self.parts.num_partitions):
-            dks = list(self.parts.groups[p])
-            if dks:
-                per_partition[p] = dks
+        per_partition = {p: list(g) for p, g in enumerate(self.parts.groups) if g}
         times = StageTimes()
         affected, map_tasks, touched = self._run_map_stage(per_partition, times)
         candidates: Set[Any] = set(self._edges)
         if not self.parts.replicated_state:
             candidates.update(self.state)
-        stats = self._finish(candidates, times, map_tasks, touched)
-        return stats
+        return self._finish(candidates, times, map_tasks, touched)
 
     def step(self) -> IterationStats:
         """One delta superstep over the current workset.
@@ -565,20 +514,8 @@ class WorksetRunner:
         the frontier empty); callers normally stop as soon as
         ``runner.workset`` is falsy.
         """
-        dirty = self.workset.keys()
+        per_partition = self.parts.partitions_holding(self.workset.keys())
         self.workset.clear()
-        per_partition: Dict[int, List[Any]] = {}
-        if self.parts.replicated_state:
-            for p in range(self.parts.num_partitions):
-                part = self.parts.groups[p]
-                members = [dk for dk in dirty if dk in part]
-                if members:
-                    per_partition[p] = members
-        else:
-            for dk in dirty:
-                p = partition_for(dk, self.parts.num_partitions)
-                if dk in self.parts.groups[p]:
-                    per_partition.setdefault(p, []).append(dk)
         times = StageTimes()
         affected, map_tasks, touched = self._run_map_stage(per_partition, times)
         return self._finish(affected, times, map_tasks, touched)
@@ -592,32 +529,10 @@ class WorksetRunner:
     ) -> IterationStats:
         """Reduce the affected groups, fold state, derive the next frontier."""
         outputs, reduce_tasks = self._run_reduce_stage(affected, times)
-        algorithm = self.algorithm
-        total_difference = 0.0
-        next_dirty: List[Any] = []
-        if self.parts.replicated_state:
-            prev_state = dict(self.state)
-            algorithm.assemble_state(self.state, outputs)
-            for dk, dv in self.state.items():
-                old = prev_state.get(dk)
-                if old is None:
-                    next_dirty.append(dk)
-                    continue
-                diff = algorithm.difference(dv, old)
-                total_difference += diff
-                if self.cpc.offer(dk, diff):
-                    next_dirty.append(dk)
-        else:
-            for dk, dv in outputs:
-                old = self.state.get(dk)
-                if old is None:
-                    next_dirty.append(dk)
-                    continue
-                diff = algorithm.difference(dv, old)
-                total_difference += diff
-                if self.cpc.offer(dk, diff):
-                    next_dirty.append(dk)
-            algorithm.assemble_state(self.state, outputs)
+        total_difference, next_dirty = fold_outputs(
+            self.algorithm, self.state, outputs, self.parts.replicated_state,
+            self.cpc.offer,
+        )
         for dk in next_dirty:
             self.workset.add(dk)
         self.counters.add("workset_map_tasks", map_tasks)
@@ -637,14 +552,17 @@ class WorksetRunner:
         self._iteration += 1
         return stats
 
-    # ------------------------------ deltas ----------------------------- #
+    # ------------------------- stepper protocol ------------------------ #
 
-    def mark_dirty(self, keys: Iterable[Any]) -> None:
-        """Seed the frontier externally (streaming micro-batch deltas).
+    def advance(self, iteration: int) -> IterationStats:
+        """One step for :meth:`repro.iterative.engine.IterMREngine._converge`:
+        :meth:`seed` first, :meth:`step` ever after, recorded as the
+        caller's ``iteration`` (a fallback run starts numbering above 0)."""
+        stats = self.step() if self._iteration else self.seed()
+        stats.iteration = iteration
+        return stats
 
-        Incremental consumers call this after mutating ``parts`` in
-        place, so the next :meth:`step` re-maps exactly the state keys
-        the delta touched.
-        """
-        for key in keys:
-            self.workset.add(key)
+    @property
+    def exhausted(self) -> bool:
+        """Whether the frontier has drained — the fixpoint is reached."""
+        return not self.workset

@@ -37,10 +37,9 @@ from repro.common.errors import PartitionOutOfRange
 from repro.common.kvpair import group_records, group_sorted, merge_sorted_runs, sort_records
 from repro.common.sizeof import grouped_records_size, record_size, records_size
 from repro.dfs.filesystem import Block, DistributedFS
-from repro.execution import ExecutorSelector, ExecutorSpec
+from repro.execution import ExecutionBackend, ExecutorSelector, ExecutorSpec
 from repro.mapreduce.api import Context, Mapper, Partitioner, Reducer
 from repro.mapreduce.job import JobConf, JobResult, MapperFactory, ReducerFactory
-from repro.resilience.policy import RetryPolicy
 
 _ITEM1 = itemgetter(1)
 
@@ -303,19 +302,10 @@ class MapReduceEngine:
         self.dfs = dfs
         self.executors = ExecutorSelector(executor, cost_model=cluster.cost_model)
 
-    def backend_for(self, jobconf: JobConf):
-        """The execution backend this job's task batches run on.
-
-        The returned backend is a
-        :class:`repro.resilience.ResilientExecutor` enforcing the job's
-        retry/timeout/speculation knobs (environment defaults when the
-        job does not set them).
-        """
-        return self.executors.get(
-            jobconf.executor,
-            jobconf.max_workers,
-            resilience=RetryPolicy.for_job(jobconf),
-        )
+    def backend_for(self, jobconf: JobConf) -> ExecutionBackend:
+        """The resilient execution backend this job's task batches run on
+        (:meth:`repro.execution.ExecutorSelector.for_job`)."""
+        return self.executors.for_job(jobconf)
 
     def close(self) -> None:
         """Shut down any host worker pools the engine created."""

@@ -117,7 +117,7 @@ def test_architecture_covers_workset():
     assert "## Workset & delta iteration" in arch
     for term in (
         "Workset",
-        "PartitionRouter",
+        "partitions_holding",
         "empty workset",
         "REPRO_WORKSET",
         "net_delta_records",

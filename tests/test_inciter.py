@@ -14,7 +14,7 @@ from repro.algorithms.gimv import GIMV
 from repro.algorithms.kmeans import Kmeans
 from repro.algorithms.pagerank import PageRank
 from repro.algorithms.sssp import SSSP
-from repro.common.errors import JobError
+from repro.common.errors import InvalidJobConf, JobError
 from repro.common.kvpair import delete, insert
 from repro.datasets.graphs import (
     mutate_web_graph,
@@ -26,6 +26,7 @@ from repro.datasets.matrices import block_matrix, mutate_matrix
 from repro.datasets.points import gaussian_points, mutate_points
 from repro.inciter.engine import I2MREngine, I2MROptions
 from repro.iterative.api import IterativeJob
+from repro.iterative.engine import IterMREngine
 
 from tests.conftest import fresh_cluster
 
@@ -331,4 +332,138 @@ class TestRefusedDelta:
         update = [delete(sk, sv), insert(sk, new_sv), delete(sk, new_sv), insert(sk, sv)]
         engine.run_incremental(job, update, preserved, I2MROptions(max_iterations=5))
         assert [rec[:2] for rec in preserved.parts.groups[1][sk]] == [(sk, sv)]
+        preserved.cleanup()
+
+
+class TestStaleStores:
+    def test_refresh_without_mrbgraph_invalidates_the_stores(self):
+        """A refresh that applies a structure delta without maintaining
+        the MRBGraph (here: by option) leaves the preserved MRBGraph
+        describing the *old* structure — the next refresh must not merge
+        into it, whatever its options say."""
+        algorithm, _, engine, job, _, preserved, delta1 = pagerank_setup()
+        engine.run_incremental(
+            job, delta1.records, preserved,
+            I2MROptions(mrbg_enabled=False, max_iterations=80, epsilon=1e-9),
+        )
+        assert not preserved.stores_valid
+        delta2 = mutate_web_graph(delta1.new_graph, 0.1, seed=99)
+        result = engine.run_incremental(
+            job, delta2.records, preserved,
+            I2MROptions(pdelta_threshold=2.0, max_iterations=80, epsilon=1e-9),
+        )
+        assert result.fell_back
+        reference = algorithm.reference_from(delta2.new_graph, {}, 300)
+        assert set(result.state) == set(reference)
+        assert max(abs(result.state[k] - reference[k]) for k in reference) < 1e-6
+        preserved.cleanup()
+
+
+class TestOptionsValidation:
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(max_iterations=0),
+            dict(max_iterations=-3),
+            dict(pdelta_threshold=-1.0),
+            dict(epsilon=-1e-9),
+            dict(filter_threshold=-0.5),
+        ],
+        ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()),
+    )
+    def test_bad_option_raises_before_anything_is_touched(self, bad):
+        _, _, engine, job, _, preserved, delta = pagerank_setup(n=100)
+        groups = pickle.dumps(preserved.parts.groups)
+        state = dict(preserved.state)
+        store_metrics = preserved.stores.store_metrics()
+        with pytest.raises(InvalidJobConf, match=next(iter(bad))):
+            engine.run_incremental(job, delta.records, preserved, I2MROptions(**bad))
+        assert pickle.dumps(preserved.parts.groups) == groups
+        assert preserved.state == state
+        assert preserved.stores.store_metrics() == store_metrics
+        assert preserved.stores_valid
+        preserved.cleanup()
+
+    def test_defaults_and_boundaries_are_valid(self):
+        I2MROptions().validate()
+        I2MROptions(max_iterations=1, pdelta_threshold=0.0, epsilon=0.0,
+                    filter_threshold=0.0).validate()
+
+
+def _pagerank_job(workset):
+    graph = powerlaw_web_graph(150, 5, seed=3)
+    job = IterativeJob(PageRank(), graph, num_partitions=4, max_iterations=40,
+                       epsilon=1e-7, workset=workset)
+    return job, mutate_web_graph(graph, 0.1, seed=4).records
+
+
+def _kmeans_job(workset):
+    points = gaussian_points(120, dim=3, k=3, seed=8)
+    job = IterativeJob(Kmeans(k=3, dim=3), points, num_partitions=4,
+                       max_iterations=15, epsilon=1e-5, workset=workset)
+    return job, mutate_points(points, 0.3, seed=9).records
+
+
+def _same_run(got, want, exact):
+    """Two runs of the one driver: same stop, same trajectory, same state."""
+    assert got.iterations == want.iterations
+    assert got.converged == want.converged
+    series = [s.total_difference for s in got.per_iteration]
+    expected = [s.total_difference for s in want.per_iteration]
+    if exact:
+        assert series == expected
+        assert got.state == want.state
+    else:
+        # K-means re-sums members in edge-cache order under workset.
+        assert series == pytest.approx(expected, abs=1e-9)
+        assert set(got.state) == set(want.state)
+
+
+@pytest.mark.parametrize("workset", [False, True])
+@pytest.mark.parametrize("make_job", [_pagerank_job, _kmeans_job])
+class TestOneDriver:
+    """``run_initial``, ``IterMREngine.run`` and the recompute fallback are
+    one loop: same inputs, same iterations, same state."""
+
+    def test_run_initial_is_an_itermr_run(self, make_job, workset):
+        job, _ = make_job(workset)
+        initial, preserved = I2MREngine(*fresh_cluster()).run_initial(job)
+        plain = IterMREngine(*fresh_cluster()).run(job)
+        # run_initial always sweeps in full (it captures the MRBGraph);
+        # a workset run follows the same trajectory to the same fixpoint.
+        _same_run(initial, plain, exact=not (workset and job.algorithm.name == "kmeans"))
+        assert initial.preprocess_s == plain.preprocess_s
+        assert all(s.mrbg_maintained for s in initial.per_iteration)
+        assert all(s.scheduled_map_tasks == 4 for s in initial.per_iteration)
+        preserved.cleanup()
+
+    def test_fallback_from_the_start_is_an_itermr_run(self, make_job, workset):
+        job, delta = make_job(workset)
+        algorithm = job.algorithm
+        engine = I2MREngine(*fresh_cluster())
+        _, preserved = engine.run_initial(job)
+        before = dict(preserved.state)
+        options = I2MROptions(mrbg_enabled=False, max_iterations=25,
+                              epsilon=1e-6, workset=workset)
+        result = engine.run_incremental(job, delta, preserved, options)
+        assert result.mrbg_disabled_at == 0
+
+        # The same start the fallback took: the delta applied to the
+        # structure, the state keys reconciled with it (one-to-one only).
+        start = dict(before)
+        if not preserved.parts.replicated_state:
+            live = {dk for group in preserved.parts.groups for dk in group}
+            start = {dk: before.get(dk, algorithm.init_state_value(dk)) for dk in live}
+        plain = IterMREngine(*fresh_cluster()).run(
+            IterativeJob(algorithm, job.dataset, num_partitions=4, max_iterations=25,
+                         epsilon=1e-6, workset=workset),
+            parts=preserved.parts, initial_state=start,
+        )
+        _same_run(result, plain, exact=True)
+        assert [s.times for s in result.per_iteration] == [
+            s.times for s in plain.per_iteration
+        ]
+        assert [s.iteration for s in result.per_iteration] == list(
+            range(result.iterations)
+        )
         preserved.cleanup()

@@ -27,13 +27,7 @@ from repro.datasets.points import gaussian_points
 from repro.iterative.api import IterativeJob
 from repro.iterative.engine import IterMREngine, run_full_iteration
 from repro.iterative.partitioning import partition_structure
-from repro.iterative.workset import (
-    PartitionRouter,
-    Workset,
-    WorksetRunner,
-    workset_task_specs,
-)
-from repro.mrbgraph.sharding import HashShardRouter, RangeShardRouter
+from repro.iterative.workset import WorksetRunner, workset_task_specs
 
 from tests.conftest import fresh_cluster
 
@@ -245,77 +239,41 @@ class TestFrontierProperties:
 
 
 # --------------------------------------------------------------------- #
-# routing properties: dirty vertex shard == scheduled task shard        #
+# routing properties: dirty vertex partition == scheduled task          #
 # --------------------------------------------------------------------- #
 
 
-@st.composite
-def _homogeneous_keys(draw):
-    """A set of same-typed keys (int, str, or tuple) plus that universe."""
-    kind = draw(st.sampled_from(["int", "str", "tuple"]))
-    if kind == "int":
-        elems = st.integers(min_value=-1000, max_value=1000)
-    elif kind == "str":
-        elems = st.text(min_size=0, max_size=8)
-    else:
-        elems = st.tuples(
-            st.integers(min_value=0, max_value=50),
-            st.integers(min_value=0, max_value=50),
-        )
-    return draw(st.sets(elems, max_size=40))
-
-
 class TestRouting:
-    @given(_homogeneous_keys(), st.integers(min_value=1, max_value=8))
-    @settings(max_examples=60, deadline=None)
-    def test_partition_map_agrees_with_hash_router(self, keys, num_shards):
-        workset = Workset(keys)
-        router = HashShardRouter(num_shards)
-        pm = workset.partition_map(router)
-        flat = [k for members in pm.values() for k in members]
-        assert len(flat) == len(keys) and set(flat) == set(keys)
-        for shard, members in pm.items():
-            assert all(router.shard_for(k) == shard for k in members)
-        specs = workset_task_specs(pm, {}, {}, "map", 0)
-        assert [spec.shard_id for spec in specs] == sorted(pm)
-
-    @given(_homogeneous_keys())
-    @settings(max_examples=60, deadline=None)
-    def test_partition_map_agrees_with_range_router(self, keys):
-        from repro.common.kvpair import sort_key
-
-        universe = sorted(keys, key=sort_key)
-        boundaries = universe[:: max(1, len(universe) // 3)][:3]
-        router = RangeShardRouter(boundaries)
-        pm = Workset(keys).partition_map(router)
-        flat = [k for members in pm.values() for k in members]
-        assert len(flat) == len(keys) and set(flat) == set(keys)
-        for shard, members in pm.items():
-            assert all(router.shard_for(k) == shard for k in members)
-        specs = workset_task_specs(pm, {}, {}, "reduce", 3)
-        assert [spec.shard_id for spec in specs] == sorted(pm)
-
     @given(
-        st.one_of(
-            st.integers(min_value=-10000, max_value=10000),
-            st.text(max_size=12),
-            st.tuples(st.integers(), st.integers()),
-        ),
-        st.integers(min_value=1, max_value=16),
+        st.sets(st.integers(min_value=0, max_value=40), max_size=12),
+        st.sampled_from(["map", "reduce"]),
+        st.integers(min_value=0, max_value=9),
     )
-    @settings(max_examples=100, deadline=None)
-    def test_partition_router_matches_engine_partitioner(self, key, n):
-        assert PartitionRouter(n).shard_for(key) == partition_for(key, n)
+    @settings(max_examples=40, deadline=None)
+    def test_one_task_spec_per_dirty_partition(self, partitions, stage, iteration):
+        costs = {p: float(p) for p in partitions if p % 2}
+        specs = workset_task_specs(partitions, costs, {}, stage, iteration)
+        assert [spec.shard_id for spec in specs] == sorted(partitions)
+        assert [spec.cost_s for spec in specs] == [
+            costs.get(p, 0.0) for p in sorted(partitions)
+        ]
+        assert len({spec.task_id for spec in specs}) == len(partitions)
 
     def test_dirty_vertex_routes_to_its_scheduled_task(self):
         _, parts, _, runner = _sssp_runner(40, 3, 7)
         runner.seed()
         assert runner.workset
-        pm = runner.workset.partition_map(runner.router)
         n = parts.num_partitions
-        for dk in runner.workset.keys():
-            shard = runner.router.shard_for(dk)
-            assert shard == partition_for(dk, n)
-            assert dk in pm[shard]
-        specs = workset_task_specs(pm, {}, {}, "map", runner._iteration)
-        assert sorted(pm) == [spec.shard_id for spec in specs]
+        dirty = runner.workset.keys()
+        held = parts.partitions_holding(dirty)
+        for p, members in held.items():
+            assert all(partition_for(dk, n) == p for dk in members)
+            assert all(dk in parts.groups[p] for dk in members)
+        routed = [dk for members in held.values() for dk in members]
+        # Dirty keys no structure pair depends on have nothing to re-map.
+        assert sorted(routed) == sorted(
+            dk for dk in dirty if dk in parts.groups[partition_for(dk, n)]
+        )
+        stats = runner.step()
+        assert stats.scheduled_map_tasks == len(held)
+        assert stats.touched_vertices == len(routed)
