@@ -36,8 +36,10 @@ through the slack does the manager fall back to one full rebuild
 from __future__ import annotations
 
 import threading
+from array import array
 from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
+from itertools import accumulate
 from typing import (
     Any,
     Callable,
@@ -54,6 +56,7 @@ from typing import (
 from repro.common import config
 from repro.common.errors import EpochRetired, ServingError, UnknownEpoch
 from repro.common.kvpair import sort_key
+from repro.common.sizeof import record_size
 from repro.mrbgraph.sharding import (
     HashShardRouter,
     RangeShardRouter,
@@ -65,6 +68,17 @@ _DELETED = object()
 
 #: Listener signature: called with each newly published snapshot.
 EpochListener = Callable[["EpochSnapshot"], None]
+
+#: One overlay's live pairs as parallel K2-ordered columns:
+#: ``(sort_keys, keys, values, cum)`` where ``cum[i]`` is the total
+#: :func:`~repro.common.sizeof.record_size` of the first ``i`` pairs
+#: (``len(cum) == len(keys) + 1``), so any slice's bytes are one
+#: subtraction.
+Columns = Tuple[List[Tuple], List[Any], List[Any], array]
+
+#: Upper end of a prefix scan's range: no string starting with the
+#: prefix sorts after ``prefix + _MAX_CHAR``.
+_MAX_CHAR = "\U0010ffff"
 
 
 class _ShardOverlay:
@@ -79,7 +93,7 @@ class _ShardOverlay:
     representation but the same values.
     """
 
-    __slots__ = ("base", "changed", "_sorted")
+    __slots__ = ("base", "changed", "_columns")
 
     def __init__(
         self,
@@ -88,9 +102,10 @@ class _ShardOverlay:
     ) -> None:
         self.changed = changed
         self.base = base
-        #: lazy cache of ``(sort_keys, keys)`` for range scans; safe to
-        #: cache per overlay because the mapping never changes.
-        self._sorted: Optional[Tuple[List[Tuple], List[Any]]] = None
+        #: lazy cache of :data:`Columns`, built by the first scan; safe
+        #: to keep across :meth:`flatten` because the mapping never
+        #: changes.
+        self._columns: Optional[Columns] = None
 
     def get(self, key: Any, default: Any = None) -> Any:
         """The key's value at this overlay's epoch (walks the chain)."""
@@ -133,13 +148,24 @@ class _ShardOverlay:
             merged.update(changed)
         return {k: v for k, v in merged.items() if v is not _DELETED}
 
-    def sorted_keys(self) -> Tuple[List[Tuple], List[Any]]:
-        """Parallel ``(sort_keys, keys)`` lists in K2 order (cached)."""
-        cached = self._sorted
+    def columns(self) -> Columns:
+        """This overlay's :data:`Columns`, built from one materialize.
+
+        Built on first use and cached; publishing never calls this, so
+        an epoch nobody scans costs nothing here.  Concurrent first
+        calls may both build — they store equal columns.
+        """
+        cached = self._columns
         if cached is None:
-            keys = sorted(self.materialize(), key=sort_key)
-            cached = ([sort_key(k) for k in keys], keys)
-            self._sorted = cached
+            live = self.materialize()
+            unsorted = list(live)
+            sks = list(map(sort_key, unsorted))
+            order = sorted(range(len(sks)), key=sks.__getitem__)
+            keys = [unsorted[i] for i in order]
+            values = [live[key] for key in keys]
+            cum = array("q", accumulate(map(record_size, keys, values), initial=0))
+            cached = ([sks[i] for i in order], keys, values, cum)
+            self._columns = cached
         return cached
 
     def flatten(self) -> None:
@@ -169,6 +195,19 @@ class _ShardOverlay:
 def _rank(key: Any, value: Any) -> Tuple[Tuple, Tuple]:
     """Total order for top-k: value first, key as deterministic tiebreak."""
     return (sort_key(value), sort_key(key))
+
+
+def prefix_range(prefix: str) -> Tuple[str, str]:
+    """The key range ``(lo, hi)`` of the strings starting with ``prefix``.
+
+    Only ``str`` keys sort between two strings, and a string ``s`` with
+    ``prefix <= s <= prefix + _MAX_CHAR`` must start with ``prefix``
+    (at the first differing position it would sort below ``prefix`` or
+    above ``hi``), so a range scan over these bounds needs no filter.
+    """
+    if not isinstance(prefix, str):
+        raise ServingError("prefix_scan requires a string prefix")
+    return prefix, prefix + _MAX_CHAR
 
 
 class EpochSnapshot:
@@ -230,18 +269,12 @@ class EpochSnapshot:
         return key in self._overlays[self.router.shard_for(key)]
 
     def items(self) -> Iterator[Tuple[Any, Any]]:
-        """Every live ``(key, value)`` pair, in deterministic K2 order."""
-        for sid in range(len(self._overlays)):
-            _, keys = self._overlays[sid].sorted_keys()
-            overlay = self._overlays[sid]
-            for key in keys:
-                yield key, overlay.get(key)
-
-    def shard_items(self, sid: int) -> List[Tuple[Any, Any]]:
-        """One serving shard's live pairs, in K2 order."""
-        overlay = self._overlays[sid]
-        _, keys = overlay.sorted_keys()
-        return [(key, overlay.get(key)) for key in keys]
+        """Every live ``(key, value)`` pair: shard by shard, in shard-id
+        order, and K2 order within a shard (not globally K2-ordered
+        when there is more than one serving shard)."""
+        for overlay in self._overlays:
+            _, keys, values, _ = overlay.columns()
+            yield from zip(keys, values)
 
     def range_shards(self, lo: Any, hi: Any) -> Sequence[int]:
         """Serving shards that can hold keys in ``[lo, hi]``.
@@ -258,41 +291,77 @@ class EpochSnapshot:
             )
         return range(self.num_shards)
 
+    def scan(
+        self, lo: Any, hi: Any, limit: Optional[int] = None
+    ) -> Tuple[List[Tuple[Any, Any]], Dict[int, int]]:
+        """A range scan's hits plus the bytes they occupy per shard.
+
+        Returns ``(hits, bytes_by_shard)``: ``hits`` is what
+        :meth:`range_scan` answers, and ``bytes_by_shard`` maps *every*
+        shard of :meth:`range_shards` (hit or not) to the total
+        ``record_size`` of its returned pairs.  Each shard contributes
+        one bisected slice of its columns, charged as a difference of
+        byte prefix sums.  Slices from one shard are returned as they
+        are; slices from several are merged by one stable sort on the
+        precomputed sort keys (shard order breaks ties), and only a
+        ``limit`` that cuts the merged run pays per-hit byte lookups.
+        """
+        lo_sk, hi_sk = sort_key(lo), sort_key(hi)
+        if lo_sk > hi_sk:
+            raise ServingError(f"empty range: {lo!r} > {hi!r}")
+        nbytes: Dict[int, int] = {}
+        runs = []
+        total = 0
+        for sid in self.range_shards(lo, hi):
+            cols = self._overlays[sid].columns()
+            run_sks, _, _, cum = cols
+            start = bisect_left(run_sks, lo_sk)
+            stop = bisect_right(run_sks, hi_sk, start)
+            nbytes[sid] = cum[stop] - cum[start]
+            if start < stop:
+                runs.append((sid, start, stop, cols))
+                total += stop - start
+        # hits kept under ``limit``, sliced as ``hits[:limit]`` would be
+        take = total if limit is None else len(range(total)[:limit])
+        if not runs:
+            return [], nbytes
+        if len(runs) == 1:
+            sid, start, _, (_, keys, values, cum) = runs[0]
+            stop = start + take
+            nbytes[sid] = cum[stop] - cum[start]
+            return list(zip(keys[start:stop], values[start:stop])), nbytes
+        sks: List[Tuple] = []
+        pairs: List[Tuple[Any, Any]] = []
+        for _, start, stop, (run_sks, keys, values, _) in runs:
+            sks += run_sks[start:stop]
+            pairs += zip(keys[start:stop], values[start:stop])
+        order = sorted(range(total), key=sks.__getitem__)
+        if take < total:
+            order = order[:take]
+            owner = [
+                (sid, cum, i)
+                for sid, start, stop, (_, _, _, cum) in runs
+                for i in range(start, stop)
+            ]
+            for sid, _, _, _ in runs:
+                nbytes[sid] = 0
+            for i in order:
+                sid, cum, j = owner[i]
+                nbytes[sid] += cum[j + 1] - cum[j]
+        return [pairs[i] for i in order], nbytes
+
     def range_scan(
         self, lo: Any, hi: Any, limit: Optional[int] = None
     ) -> List[Tuple[Any, Any]]:
         """All pairs with ``lo <= key <= hi`` in ``sort_key`` order."""
-        lo_sk, hi_sk = sort_key(lo), sort_key(hi)
-        if lo_sk > hi_sk:
-            raise ServingError(f"empty range: {lo!r} > {hi!r}")
-        hits: List[Tuple[Any, Any]] = []
-        for sid in self.range_shards(lo, hi):
-            overlay = self._overlays[sid]
-            sks, keys = overlay.sorted_keys()
-            start = bisect_left(sks, lo_sk)
-            stop = bisect_right(sks, hi_sk)
-            for key in keys[start:stop]:
-                hits.append((key, overlay.get(key)))
-        hits.sort(key=lambda kv: sort_key(kv[0]))
-        if limit is not None:
-            hits = hits[:limit]
-        return hits
+        return self.scan(lo, hi, limit)[0]
 
     def prefix_scan(
         self, prefix: str, limit: Optional[int] = None
     ) -> List[Tuple[Any, Any]]:
         """All pairs whose *string* key starts with ``prefix``."""
-        if not isinstance(prefix, str):
-            raise ServingError("prefix_scan requires a string prefix")
-        hi = prefix + "\U0010ffff"
-        hits = [
-            (key, value)
-            for key, value in self.range_scan(prefix, hi)
-            if isinstance(key, str) and key.startswith(prefix)
-        ]
-        if limit is not None:
-            hits = hits[:limit]
-        return hits
+        lo, hi = prefix_range(prefix)
+        return self.scan(lo, hi, limit)[0]
 
     def top_k(self, k: int) -> List[Tuple[Any, Any]]:
         """The ``k`` best pairs by (value desc, key desc) rank.
@@ -314,12 +383,10 @@ class EpochSnapshot:
         """Approximate encoded bytes of one shard's live pairs.
 
         Used by the query server to charge full-shard reads through the
-        cost model; computed from the shard's key/value records with the
-        library's exact-size estimator.
+        cost model: the last byte prefix sum of the shard's columns
+        (the library's exact-size estimator over every live pair).
         """
-        from repro.common.sizeof import record_size
-
-        return sum(record_size(k, v) for k, v in self.shard_items(sid))
+        return self._overlays[sid].columns()[3][-1]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

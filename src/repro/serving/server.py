@@ -36,7 +36,7 @@ from repro.common.sizeof import record_size
 from repro.mrbgraph.sharding import ShardRouter
 from repro.resilience.policy import RetryPolicy
 from repro.serving.cache import ResultCache, entry_signature
-from repro.serving.epochs import EpochManager, EpochSnapshot
+from repro.serving.epochs import EpochManager, EpochSnapshot, prefix_range
 
 
 @dataclass
@@ -166,6 +166,28 @@ class QueryServer:
             shards_read=0,
         )
 
+    def _scan(
+        self,
+        snap: EpochSnapshot,
+        sig: str,
+        lo: Any,
+        hi: Any,
+        limit: Optional[int],
+        kind: str,
+    ) -> QueryResult:
+        """Answer a range-shaped scan on a cache miss; every shard the
+        range covers counts as read, hit or not."""
+        hits, by_shard = snap.scan(lo, hi, limit)
+        cost_s = self._shard_cost(by_shard)
+        self.cache.put(
+            sig, hits, snap.epoch, self.manager.latest_epoch,
+            bounds=(sort_key(lo), sort_key(hi)),
+        )
+        self._account(snap, cost_s, kind)
+        return QueryResult(
+            hits, snap.epoch, False, cost_s, max(1, len(by_shard))
+        )
+
     # -------------------------------------------------------------- #
     # queries                                                        #
     # -------------------------------------------------------------- #
@@ -237,21 +259,7 @@ class QueryServer:
             cached = self._cached(sig, snap, "range_scan")
             if cached is not None:
                 return cached
-            hits = snap.range_scan(lo, hi, limit=limit)
-            shards = list(snap.range_shards(lo, hi))
-            by_shard: Dict[int, int] = {sid: 0 for sid in shards}
-            for key, value in hits:
-                sid = snap.shard_for(key)
-                by_shard[sid] = by_shard.get(sid, 0) + record_size(key, value)
-            cost_s = self._shard_cost(by_shard)
-            self.cache.put(
-                sig, hits, snap.epoch, self.manager.latest_epoch,
-                bounds=(sort_key(lo), sort_key(hi)),
-            )
-            self._account(snap, cost_s, "range_scan")
-            return QueryResult(
-                hits, snap.epoch, False, cost_s, max(1, len(by_shard))
-            )
+            return self._scan(snap, sig, lo, hi, limit, "range_scan")
 
     def prefix_scan(
         self,
@@ -265,22 +273,8 @@ class QueryServer:
             cached = self._cached(sig, snap, "prefix_scan")
             if cached is not None:
                 return cached
-            hits = snap.prefix_scan(prefix, limit=limit)
-            hi = prefix + "\U0010ffff"
-            shards = list(snap.range_shards(prefix, hi))
-            by_shard: Dict[int, int] = {sid: 0 for sid in shards}
-            for key, value in hits:
-                sid = snap.shard_for(key)
-                by_shard[sid] = by_shard.get(sid, 0) + record_size(key, value)
-            cost_s = self._shard_cost(by_shard)
-            self.cache.put(
-                sig, hits, snap.epoch, self.manager.latest_epoch,
-                bounds=(sort_key(prefix), sort_key(hi)),
-            )
-            self._account(snap, cost_s, "prefix_scan")
-            return QueryResult(
-                hits, snap.epoch, False, cost_s, max(1, len(by_shard))
-            )
+            lo, hi = prefix_range(prefix)
+            return self._scan(snap, sig, lo, hi, limit, "prefix_scan")
 
     def top_k(self, k: int, epoch: Optional[int] = None) -> QueryResult:
         """The ``k`` best pairs by (value desc, key desc) rank.

@@ -11,13 +11,18 @@ piecewise first.
 
 from __future__ import annotations
 
+import pickle
 import random
 import threading
+from bisect import bisect_left, bisect_right
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms.wordcount import WordCountMapper, WordCountReducer
 from repro.common import serialization
+from repro.common.sizeof import record_size
 from repro.common.errors import (
     EpochRetired,
     QueryTimeout,
@@ -38,6 +43,7 @@ from repro.serving import (
     ResultCache,
     ServingBridge,
 )
+from repro.serving import epochs
 from repro.serving.cache import entry_signature
 from repro.streaming import (
     BatchOutcome,
@@ -410,6 +416,200 @@ class TestQueryServer:
         server.get("w00")
         assert server.stats.num_epochs_served == 2
         assert server.stats.queries == 2
+
+
+# --------------------------------------------------------------------- #
+# columnar scans                                                        #
+# --------------------------------------------------------------------- #
+
+
+def _reference_range_scan(snap, lo, hi, limit=None):
+    """The per-hit scan the columns replaced: chain lookups, one global
+    re-sort, then the limit."""
+    lo_sk, hi_sk = sort_key(lo), sort_key(hi)
+    hits = []
+    for sid in snap.range_shards(lo, hi):
+        overlay = snap._overlays[sid]
+        keys = sorted(overlay.materialize(), key=sort_key)
+        sks = [sort_key(k) for k in keys]
+        for key in keys[bisect_left(sks, lo_sk):bisect_right(sks, hi_sk)]:
+            hits.append((key, overlay.get(key)))
+    hits.sort(key=lambda kv: sort_key(kv[0]))
+    if limit is not None:
+        hits = hits[:limit]
+    return hits
+
+
+def _reference_prefix_scan(snap, prefix, limit=None):
+    hits = [
+        (key, value)
+        for key, value in _reference_range_scan(snap, prefix, prefix + "\U0010ffff")
+        if isinstance(key, str) and key.startswith(prefix)
+    ]
+    if limit is not None:
+        hits = hits[:limit]
+    return hits
+
+
+def _reference_result(server, snap, hits, lo, hi):
+    """``(value, cost_s, shards_read)`` as the per-hit server charged."""
+    by_shard = {sid: 0 for sid in snap.range_shards(lo, hi)}
+    for key, value in hits:
+        sid = snap.shard_for(key)
+        by_shard[sid] = by_shard.get(sid, 0) + record_size(key, value)
+    if by_shard:
+        volumes = sorted(by_shard.values(), reverse=True)
+        cost_s = server.cost_model.serving_read_time(volumes[0], volumes[1:])
+    else:
+        cost_s = server.cost_model.store_read_time(0)
+    return hits, cost_s, max(1, len(by_shard))
+
+
+_KEY_STYLES = {
+    "int": st.integers(-40, 40),
+    "str": st.text(alphabet="abé\U0001f600", max_size=3),
+    "float": st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-8, 8, width=16)),
+    "tuple": st.tuples(st.integers(0, 3), st.text(alphabet="ab", max_size=2)),
+    "mixed": st.one_of(
+        st.none(), st.booleans(), st.integers(-5, 5), st.sampled_from([0.0, -0.0, 1.0, 2.5]),
+        st.text(alphabet="ab", max_size=2), st.tuples(st.integers(0, 2)),
+    ),
+}
+_VALUES = st.one_of(
+    st.integers(-3, 3), st.booleans(), st.sampled_from([0.0, -0.0, 1.0]),
+    st.text(alphabet="xé", max_size=5),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_scans_equal_the_per_hit_reference(data):
+    """Columnar scans answer, cost and count shards exactly like the
+    per-hit loop they replaced (``repr`` so ``-0.0``/``True`` cannot hide
+    behind ``==``): every key style, both routers × 1/2/4 shards, limits
+    that do and do not cut, older pinned epochs, and overlays flattened
+    after their columns were built (``collapse_depth=1``)."""
+    style = data.draw(st.sampled_from(sorted(_KEY_STYLES)), label="style")
+    keys = _KEY_STYLES[style]
+    shards = data.draw(st.sampled_from([1, 2, 4]), label="shards")
+    if data.draw(st.booleans(), label="hash"):
+        router = HashShardRouter(shards)
+    else:
+        cuts = data.draw(st.lists(keys, min_size=shards - 1, max_size=shards - 1))
+        router = RangeShardRouter(sorted(cuts, key=sort_key))
+    server = QueryServer(
+        manager=EpochManager(router=router, retain=3, collapse_depth=1),
+        cache=ResultCache(capacity=0),
+        policy=RetryPolicy.disabled(),
+    )
+    manager = server.manager
+    state = {}
+    sim_read_s = 0.0
+    for _ in range(data.draw(st.integers(1, 5), label="publishes")):
+        state.update(data.draw(st.dictionaries(keys, _VALUES, max_size=10)))
+        if state:
+            for key in data.draw(st.lists(st.sampled_from(list(state)), max_size=3)):
+                state.pop(key, None)
+        server.publish(dict(state))
+        for _ in range(data.draw(st.integers(0, 4), label="queries")):
+            epoch = data.draw(
+                st.one_of(st.none(), st.integers(manager.oldest_epoch, manager.latest_epoch))
+            )
+            limit = data.draw(st.sampled_from([None, 0, 1, 3]))
+            snap = manager.snapshot(epoch)
+            if data.draw(st.booleans(), label="prefix"):
+                prefix = data.draw(st.text(alphabet="abé", max_size=2))
+                got = server.prefix_scan(prefix, limit=limit, epoch=epoch)
+                want = _reference_result(
+                    server, snap, _reference_prefix_scan(snap, prefix, limit),
+                    prefix, prefix + "\U0010ffff",
+                )
+            else:
+                pool = st.sampled_from(list(state)) if state else keys
+                lo = data.draw(st.one_of(pool, keys))
+                hi = lo if data.draw(st.booleans()) else data.draw(st.one_of(pool, keys))
+                lo, hi = sorted((lo, hi), key=sort_key)
+                got = server.range_scan(lo, hi, limit=limit, epoch=epoch)
+                want = _reference_result(
+                    server, snap, _reference_range_scan(snap, lo, hi, limit), lo, hi
+                )
+            assert got.epoch == snap.epoch and not got.from_cache
+            assert repr((got.value, got.cost_s, got.shards_read)) == repr(want)
+            assert pickle.dumps(got.value) == pickle.dumps(want[0])
+            sim_read_s += want[1]
+    assert repr(server.stats.sim_read_s) == repr(sim_read_s)
+
+
+def test_flattening_keeps_built_columns_valid():
+    manager = EpochManager(num_shards=2, retain=2, collapse_depth=1)
+    manager.publish({f"w{i:02d}": i for i in range(20)})
+    manager.publish_delta({"w03": -1}, deleted=["w07"])
+    snap = manager.latest()
+    before = snap.range_scan("w00", "w19")
+    assert any(ov._columns is not None and ov.base is not None for ov in snap._overlays)
+    for i in range(4):
+        manager.publish_delta({"w05": i})
+    assert all(ov.base is None for ov in snap._overlays)  # flattened
+    assert snap.range_scan("w00", "w19") == before == _reference_range_scan(snap, "w00", "w19")
+
+
+def test_columns_build_once_per_scanned_overlay(monkeypatch):
+    sized = []
+    real_record_size = epochs.record_size
+    monkeypatch.setattr(
+        epochs, "record_size", lambda k, v: sized.append(k) or real_record_size(k, v)
+    )
+    server = QueryServer(num_shards=3, cache=ResultCache(capacity=0))
+    server.publish({f"w{i:02d}": i for i in range(30)})
+    server.publish_delta({"w01": 99})
+    server.publish({**{f"w{i:02d}": i for i in range(30)}, "w01": 99, "x": 1})
+    assert sized == []  # ingestion builds no columns
+    for _ in range(3):
+        server.range_scan("w00", "w29")
+        server.range_scan("w05", "w05", limit=1)
+        server.prefix_scan("w1")
+        server.top_k(25)
+    assert sorted(sized) == sorted(dict(server.manager.latest().items()))
+    # an older epoch rebuilds only the overlays its successors replaced.
+    sized.clear()
+    older = server.manager.snapshot(1)
+    for _ in range(3):
+        server.range_scan("w00", "w29", epoch=1)
+    replaced = older.shard_for("x")
+    assert sorted(sized) == sorted(older._overlays[replaced].columns()[1])
+
+
+def test_items_walk_shard_by_shard():
+    state = {f"k{i:02d}": i for i in range(30)}
+    manager = EpochManager(num_shards=3)
+    snap = manager.publish(state)
+    expected = [
+        (key, state[key])
+        for sid in range(3)
+        for key in sorted(state, key=sort_key)
+        if snap.shard_for(key) == sid
+    ]
+    assert list(snap.items()) == expected
+    assert list(snap.items()) != sorted(state.items())  # not globally K2
+
+
+def test_deep_topk_charges_every_shards_bytes():
+    server = QueryServer(
+        manager=EpochManager(num_shards=3, track_top=2),
+        cache=ResultCache(capacity=0),
+    )
+    state = {f"w{i:02d}": "x" * i for i in range(12)}
+    snap = server.publish(state)
+    result = server.top_k(10)
+    assert not snap.topk_complete and 10 > len(snap.topk)
+    by_shard = {sid: 0 for sid in range(3)}
+    for key, value in state.items():
+        by_shard[snap.shard_for(key)] += record_size(key, value)
+    volumes = sorted(by_shard.values(), reverse=True)
+    expected = server.cost_model.serving_read_time(volumes[0], volumes[1:])
+    assert repr(result.cost_s) == repr(expected)
+    assert result.shards_read == 3
+    assert [snap.scan_bytes(sid) for sid in range(3)] == [by_shard[sid] for sid in range(3)]
 
 
 # --------------------------------------------------------------------- #
