@@ -31,7 +31,7 @@ setup(
     packages=find_packages(where="src"),
     python_requires=">=3.9",
     extras_require={
-        "test": ["pytest", "pytest-benchmark", "hypothesis"],
+        "test": ["pytest", "hypothesis"],
     },
     classifiers=[
         "Development Status :: 4 - Beta",

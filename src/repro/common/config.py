@@ -9,20 +9,70 @@ These constants mirror the defaults stated in the paper:
   ``P∆`` exceeds 50 % (§5.2),
 - Hadoop job startup is "over 20 seconds" (§4.2), and
 - TaskTracker heartbeats arrive every 3 seconds (§6.1).
+
+Every ``REPRO_*`` override is read once, here, at import time.  An unset
+or blank variable means the default; a value that cannot be parsed
+raises :class:`~repro.common.errors.InvalidEnvVar` naming the variable,
+rather than being read as some other setting.
 """
 
 from __future__ import annotations
 
 import os
 
+from repro.common.errors import InvalidEnvVar
+
 KB = 1024
 MB = 1024 * 1024
 GB = 1024 * 1024 * 1024
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    return int(raw) if raw else default
+def _env_value(name, default, parse, expected: str):
+    """``parse`` of the stripped ``os.environ[name]``; unset or blank is
+    ``default``, and a ``ValueError`` from ``parse`` becomes
+    :class:`InvalidEnvVar` (``expected`` describes the accepted values)."""
+    raw = os.environ.get(name, "")
+    text = raw.strip()
+    if not text:
+        return default
+    try:
+        return parse(text)
+    except ValueError:
+        raise InvalidEnvVar(name, raw, expected) from None
+
+
+def _env_int(name: str, default: "int | None") -> "int | None":
+    return _env_value(name, default, int, "an integer")
+
+
+def _env_float(name: str) -> "float | None":
+    return _env_value(name, None, float, "a number")
+
+
+_FLAG_WORDS = {
+    "1": True, "true": True, "yes": True, "on": True,
+    "0": False, "false": False, "no": False, "off": False,
+}
+
+
+def _parse_flag(raw: str) -> bool:
+    try:
+        return _FLAG_WORDS[raw.lower()]
+    except KeyError:
+        raise ValueError(raw) from None
+
+
+def _env_flag(name: str, default: bool) -> bool:
+    return _env_value(
+        name, default, _parse_flag, "one of 1/true/yes/on or 0/false/no/off"
+    )
+
+
+def _parse_fraction(raw: str) -> float:
+    value = float(raw)
+    if not 0.0 <= value <= 1.0:  # also rejects nan
+        raise ValueError(raw)
+    return value
 
 
 #: MRBG-Store dynamic read-window gap threshold ``T`` (bytes), paper §3.4.
@@ -48,13 +98,6 @@ DEFAULT_PREFETCH_LOOKAHEAD = _env_int("REPRO_PREFETCH_LOOKAHEAD", 256)
 #: parallel on the host execution backends.  Overridable via the
 #: ``REPRO_SHARDS`` environment variable.
 DEFAULT_NUM_SHARDS = _env_int("REPRO_SHARDS", 1)
-
-def _env_flag(name: str, default: bool) -> bool:
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return default
-    return raw.strip().lower() not in ("0", "false", "no", "off")
-
 
 #: Whether every MRBG-Store journals mutations to a per-store write-ahead
 #: log (``mrbg.wal``) and replays it on ``open()`` — crash-safe
@@ -102,12 +145,6 @@ DEFAULT_NUM_WORKERS = 8
 #: Default DFS replication factor.
 DEFAULT_REPLICATION = 3
 
-
-def _default_max_workers() -> "int | None":
-    raw = os.environ.get("REPRO_MAX_WORKERS")
-    return int(raw) if raw else None
-
-
 #: Default number of times a failed task is transparently re-executed
 #: before the failure propagates (the MapReduce fault-tolerance
 #: contract).  Retries are charged capped exponential backoff on the
@@ -117,12 +154,6 @@ def _default_max_workers() -> "int | None":
 #: byte-identical.  Overridable via the ``REPRO_TASK_RETRIES``
 #: environment variable.
 DEFAULT_TASK_RETRIES = _env_int("REPRO_TASK_RETRIES", 2)
-
-
-def _env_float(name: str) -> "float | None":
-    raw = os.environ.get(name)
-    return float(raw) if raw else None
-
 
 #: Default per-attempt host-side task timeout in seconds; an attempt
 #: running longer is a *straggler* (speculation may duplicate it).
@@ -140,20 +171,17 @@ DEFAULT_SPECULATION = _env_flag("REPRO_SPECULATION", False)
 #: executor blacklists it (tasks re-route to the remaining workers).
 DEFAULT_BLACKLIST_AFTER = _env_int("REPRO_BLACKLIST_AFTER", 3)
 
-
-def _chaos_seed() -> "int | None":
-    raw = os.environ.get("REPRO_CHAOS_SEED")
-    return int(raw) if raw else None
-
-
 #: Chaos-testing seed: when set (``REPRO_CHAOS_SEED``), every resilient
 #: executor injects deterministic pseudo-random transient task failures
 #: at rate :data:`CHAOS_RATE` — outputs must stay byte-identical, which
 #: is exactly what the CI chaos job asserts across whole test suites.
-CHAOS_SEED = _chaos_seed()
+CHAOS_SEED = _env_int("REPRO_CHAOS_SEED", None)
 
-#: Fraction of first task attempts the chaos mode fails (``REPRO_CHAOS_RATE``).
-CHAOS_RATE = float(os.environ.get("REPRO_CHAOS_RATE") or 0.05)
+#: Fraction of first task attempts the chaos mode fails
+#: (``REPRO_CHAOS_RATE``, within ``[0, 1]``).
+CHAOS_RATE = _env_value(
+    "REPRO_CHAOS_RATE", 0.05, _parse_fraction, "a fraction in [0, 1]"
+)
 
 #: Result-cache capacity of the online query server, in entries (LRU
 #: eviction; see :class:`repro.serving.ResultCache`).  Overridable via
@@ -187,4 +215,4 @@ DEFAULT_EXECUTOR = os.environ.get("REPRO_EXECUTOR", "serial")
 #: Default worker cap for pool backends; ``None`` means one worker per
 #: host CPU.  Overridable via the ``REPRO_MAX_WORKERS`` environment
 #: variable.
-DEFAULT_MAX_WORKERS = _default_max_workers()
+DEFAULT_MAX_WORKERS = _env_int("REPRO_MAX_WORKERS", None)

@@ -11,6 +11,20 @@ class ReproError(Exception):
     """Base class for all errors raised by this library."""
 
 
+class InvalidEnvVar(ReproError, ValueError):
+    """A ``REPRO_*`` environment variable holds a value it cannot mean.
+
+    Raised at import of :mod:`repro.common.config` instead of silently
+    falling back to a default or reading an unknown flag as *on*.
+    """
+
+    def __init__(self, name: str, value: str, expected: str) -> None:
+        super().__init__(f"{name}={value!r}: expected {expected}")
+        self.name = name
+        self.value = value
+        self.expected = expected
+
+
 class SerializationError(ReproError):
     """A value could not be encoded to or decoded from the binary format."""
 

@@ -139,7 +139,8 @@ class IterationStats:
     many state vertices the map stage touched, and how many keys stayed
     dirty afterwards.  Full sweeps fill them with the constant
     partition-wide counts; workset supersteps show them collapsing as
-    the computation converges (the ``BENCH_workset.json`` series).
+    the computation converges (the series ``TestCollapse`` in
+    ``tests/test_workset.py`` asserts).
     """
 
     iteration: int

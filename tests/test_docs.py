@@ -7,6 +7,7 @@ here, so a rename that orphans a reference in ``README.md`` or
 
 from __future__ import annotations
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -78,8 +79,6 @@ def test_readme_documents_env_knobs():
         "REPRO_CHAOS_SEED",
         "REPRO_CHAOS_RATE",
         "REPRO_WORKSET",
-        "REPRO_BENCH_SCALE",
-        "REPRO_BENCH_WRITE",
         "REPRO_SERVING_CACHE",
         "REPRO_SERVING_RETAIN",
         "REPRO_SERVING_TOPK",
@@ -121,7 +120,7 @@ def test_architecture_covers_workset():
         "empty workset",
         "REPRO_WORKSET",
         "net_delta_records",
-        "BENCH_workset.json",
+        "TestCollapse",
     ):
         assert term in arch
 
@@ -203,18 +202,22 @@ def test_serving_doc_covers_the_contract():
 
 
 def test_experiments_documents_serving_bench():
-    """The serving benchmark and its report columns are documented."""
+    """The docs name the ``bench/`` metrics that measure serving and the
+    test that holds its correctness; every metric named is registered."""
     experiments = (ROOT / "docs" / "experiments.md").read_text(encoding="utf-8")
-    assert "test_bench_serving.py" in experiments
-    for column in (
-        "qps",
-        "p50_ms",
-        "p99_ms",
-        "cache_hit_rate",
-        "epochs_served",
-        "BENCH_serving.json",
+    assert "bench/run.py" in experiments
+    assert "test_queries_during_ingestion_match_quiesced_replay" in experiments
+    registry = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    registered = {m["name"] for m in registry["end_to_end"] + registry["per_layer"]}
+    for metric in (
+        "query_qps",
+        "serving.query_p50_us",
+        "serving.query_p99_us",
+        "serving.cache_hit_rate",
+        "serving.timeouts",
     ):
-        assert column in experiments, f"{column} not documented"
+        assert metric in experiments, f"{metric} not documented"
+        assert metric in registered, f"{metric} not in BENCHMARK.json"
 
 
 def test_api_reference_is_fresh():

@@ -23,6 +23,7 @@ from repro.cluster.scheduler import (
     reschedule_failed_tasks,
 )
 from repro.common.errors import RetriesExhausted
+from repro.common.hashing import stable_hash
 from repro.common.kvpair import Op
 from repro.dfs.filesystem import DistributedFS
 from repro.execution import (
@@ -76,6 +77,22 @@ def _hook_for(*faults: TaskFault):
     for fault in faults:
         injector.add_task_fault(fault)
     return FaultContext(injector).task_hook()
+
+
+def _rate_hook(rate: float, seed: int = 1234):
+    """Transient faults on a deterministic ~``rate`` share of tasks, each
+    failing only its first attempt (so the retry always succeeds)."""
+    threshold = int(rate * 1_000_000)
+    seen: set = set()
+
+    def hook(task_index: int):
+        first = task_index not in seen
+        seen.add(task_index)
+        if first and stable_hash((seed, task_index)) % 1_000_000 < threshold:
+            return TaskFaultDirective(kind="transient", occurrence=0)
+        return None
+
+    return hook
 
 
 def _policy(**overrides) -> RetryPolicy:
@@ -166,6 +183,25 @@ class TestResilientExecutor:
         second = charged(faults)
         assert first == second
         assert 0.0 < first <= 4 * CostModel().retry_backoff_cap_s
+
+    def test_sim_backoff_follows_the_fault_rate(self):
+        def stats_at(rate):
+            wrapper = ResilientExecutor(
+                SerialBackend(), policy=_policy(max_retries=3),
+                fault_hook=_rate_hook(rate),
+            )
+            try:
+                values = wrapper.run_tasks(_square, range(400), picklable=True)
+            finally:
+                wrapper.close()
+            assert values == [x * x for x in range(400)], rate
+            return wrapper.stats.retries, wrapper.stats.sim_backoff_s
+
+        assert stats_at(0.0) == (0, 0.0)
+        low_retries, low_backoff = stats_at(0.01)
+        high_retries, high_backoff = stats_at(0.20)
+        assert 0 < low_retries < high_retries
+        assert 0.0 < low_backoff < high_backoff
 
     @pytest.mark.parametrize(
         "backend_cls,expected_next",

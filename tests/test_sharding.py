@@ -445,8 +445,8 @@ class TestShardedMetrics:
 
 
 class TestBackendIdentity:
-    """The same operation sequence leaves identical shard files and
-    merged results whichever backend ran the fan-out."""
+    """The same operation sequence leaves identical shard files, merged
+    results and simulated stage times whichever backend ran the fan-out."""
 
     @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
     def test_results_and_bytes_identical(self, tmp_path, executor):
@@ -454,14 +454,25 @@ class TestBackendIdentity:
         candidate = self._drive(tmp_path / executor, executor)
         assert candidate == reference
 
+    def test_more_shards_shrink_simulated_stage_time(self, tmp_path):
+        """Locality-aware placement runs shard tasks in parallel on the
+        simulated cluster: 8 shards finish merge and compact sooner."""
+        *_, one = self._drive(tmp_path / "one", "serial", num_shards=1)
+        *_, eight = self._drive(tmp_path / "eight", "serial", num_shards=8)
+        merge_one, compact_one = one
+        merge_eight, compact_eight = eight
+        assert merge_eight < merge_one
+        assert compact_eight < compact_one
+
     @staticmethod
-    def _drive(base, executor):
-        store = ShardedMRBGStore(str(base), num_shards=4, executor=executor)
+    def _drive(base, executor, num_shards=4):
+        store = ShardedMRBGStore(str(base), num_shards=num_shards, executor=executor)
         store.build(build_chunks(50))
         merged = list(store.merge_delta(
             sorted((k, [DeltaEdge(1, "x", Op.INSERT)]) for k in range(0, 50, 3))
         ))
-        store.compact()
+        sim_merge_s = store.last_schedule.elapsed_s
+        sim_compact_s = store.compact().elapsed_s
         index_bytes = store.save_index()
         metrics = store.metrics
         files = {}
@@ -470,7 +481,7 @@ class TestBackendIdentity:
                 with open(os.path.join(shard.directory, name), "rb") as fh:
                     files[(os.path.basename(shard.directory), name)] = fh.read()
         store.close()
-        return merged, index_bytes, metrics, files
+        return merged, index_bytes, metrics, files, (sim_merge_s, sim_compact_s)
 
 
 # ---------------------------------------------------------------------- #

@@ -3,8 +3,8 @@
 The §8 reproductions run on the *simulated* cost-model clock, which is
 pure arithmetic over deterministic inputs — so the numbers are pinned
 exactly (``==``; floats round-trip through JSON) in
-``tests/golden/sim_figures.json`` rather than timed with
-``pytest-benchmark``.  A refactor of the engines must leave that file
+``tests/golden/sim_figures.json`` rather than timed on the host clock.
+A refactor of the engines must leave that file
 byte-identical; a deliberate cost-model change regenerates it::
 
     PYTHONPATH=src python -m tests.test_sim_goldens --regen
@@ -13,8 +13,7 @@ Two kinds of entry:
 
 - the **figures** — Fig 8 (all five solutions × four workloads), Fig
   9–13, Tables 3–4, the Incoop ablation and one-step APriori at ``test``
-  scale, each with the shape assertion its former
-  ``benchmarks/test_bench_*.py`` file made;
+  scale, each with the shape assertion the paper's claim needs;
 - the **engine series** the figures do not reach — a workset
   ``IterMREngine.run``, ``I2MREngine.run_initial`` and the three ``I2MREngine.run_incremental``
   paths (fine-grain, ``mrbg_enabled=False``, the §5.2 auto-off at
@@ -244,7 +243,7 @@ def test_golden_file_names_every_section():
 
 
 # --------------------------------------------------------------------- #
-# the figures (shape assertions of the former benchmarks/ files)        #
+# the figures, each with the shape its paper claim needs               #
 # --------------------------------------------------------------------- #
 
 

@@ -21,7 +21,7 @@ from repro.algorithms.pagerank import PageRank
 from repro.algorithms.sssp import SSSP
 from repro.common.errors import InvalidJobConf
 from repro.common.hashing import partition_for
-from repro.datasets.graphs import powerlaw_web_graph, weighted_graph_from
+from repro.datasets.graphs import WebGraph, powerlaw_web_graph, weighted_graph_from
 from repro.datasets.matrices import block_matrix
 from repro.datasets.points import gaussian_points
 from repro.iterative.api import IterativeJob
@@ -161,6 +161,57 @@ class TestCollapse:
         assert seed_touched > 0
         later = [s.touched_vertices for s in result.per_iteration[1:]]
         assert later and min(later) < seed_touched
+        # Over the whole run the frontier saves work against a full sweep.
+        full = _run(algorithm, dataset, 4, "serial", False, knobs)
+
+        def totals(run):
+            return (
+                sum(s.scheduled_map_tasks for s in run.per_iteration),
+                sum(s.touched_vertices for s in run.per_iteration),
+            )
+
+        (ws_tasks, ws_touched), (full_tasks, full_touched) = totals(result), totals(full)
+        assert ws_tasks <= full_tasks
+        assert ws_touched < full_touched
+
+    def test_cascade_dag_collapses_strictly_to_zero(self):
+        depth = 12
+        result = _run(PageRank(), _cascade_graph(depth), depth, "serial", True,
+                      dict(max_iterations=depth + 4))
+        assert result.converged
+        # Superstep 0 is the priming full sweep; the delta supersteps
+        # after it schedule one task per still-dirty level.  The run stops
+        # on an empty workset, so each series closes with the 0 no
+        # further superstep scheduled.
+        map_series = [s.scheduled_map_tasks for s in result.per_iteration[1:]] + [0]
+        touched_series = [s.touched_vertices for s in result.per_iteration[1:]] + [0]
+        assert map_series[0] == depth
+        assert all(a > b for a, b in zip(map_series, map_series[1:])), map_series
+        assert all(a > b for a, b in zip(touched_series, touched_series[1:])), (
+            touched_series
+        )
+        assert result.per_iteration[-1].workset_size == 0
+
+
+def _cascade_graph(depth: int) -> WebGraph:
+    """A transitive-tournament DAG, one prime-task partition per vertex.
+
+    Vertex ``i`` links to every later vertex, so rank ``i`` reaches its
+    fixpoint exactly one superstep after ranks ``0..i-1`` do — the dirty
+    frontier loses exactly one vertex per superstep.  Vertex ids are
+    chosen so ``partition_for(id, depth)`` enumerates all ``depth``
+    residues: every level is its own partition, and the scheduled-task
+    series reads directly as "levels still dirty".
+    """
+    ids, seen = [], set()
+    candidate = 0
+    while len(ids) < depth:
+        shard = partition_for(candidate, depth)
+        if shard not in seen:
+            seen.add(shard)
+            ids.append(candidate)
+        candidate += 1
+    return WebGraph({ids[i]: tuple(ids[i + 1:]) for i in range(depth)})
 
 
 # --------------------------------------------------------------------- #

@@ -5,7 +5,7 @@ Scans README.md and docs/*.md for three kinds of references and fails
 when any points at nothing in the tree:
 
 - repo-relative paths (``src/repro/mapreduce/engine.py``, ``docs/...``,
-  ``benchmarks/...``, ``examples/...``, ``tests/...``);
+  ``examples/...``, ``tests/...``, ``tools/...``);
 - dotted module names (``repro.execution``, ``repro.inciter.cpc``);
 - bare Python file names (``fig8_overall.py``) — matched against the
   set of file names anywhere in the tree.
@@ -30,7 +30,7 @@ import sys
 from pathlib import Path
 
 DOC_GLOBS = ("README.md", "docs/*.md")
-PATH_RE = re.compile(r"\b(?:src|tests|benchmarks|examples|docs|tools)/[\w\-./]+")
+PATH_RE = re.compile(r"\b(?:src|tests|examples|docs|tools)/[\w\-./]+")
 MODULE_RE = re.compile(r"\brepro(?:\.\w+)+")
 PYFILE_RE = re.compile(r"\b[\w\-]+\.py\b")
 
