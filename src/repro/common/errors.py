@@ -183,6 +183,20 @@ class ChunkKeyMismatch(StoreError):
         self.found = found
 
 
+class DuplicateChunkKey(StoreError):
+    """A merge session was given the same K2 twice.
+
+    Each queried key is read once and its merged chunk put once, so a
+    second delta group for the same key would be merged against the
+    *old* chunk and overwrite the first group's result — a silent lost
+    update.  The session is refused before anything is journaled.
+    """
+
+    def __init__(self, key: object) -> None:
+        super().__init__(f"key {key!r} appears twice in one merge session")
+        self.key = key
+
+
 class ConvergenceError(ReproError):
     """An iterative computation failed to converge within its budget."""
 

@@ -269,6 +269,29 @@ def encode_chunk(k2: Any, entries: Sequence) -> bytes:
     return _finish_record(out)
 
 
+def decoded_columns(entries: Sequence, raw: bytes) -> Optional[ColumnarEdges]:
+    """What :func:`decode_chunk` would return for ``raw``, without decoding.
+
+    ``raw`` is ``encode_chunk(k2, entries)``.  When ``entries`` are
+    non-empty columns with a proven ``value_type``, every edge is an exact
+    ``(int, value_type)`` pair that fits 64 bits (the encode succeeded),
+    so ``raw`` is the flat 23-byte-stride record and decoding it yields
+    these same columns with ``raw`` attached.  Returns ``None`` for
+    anything unproven — those chunks are only ever decoded.
+    """
+    if (
+        type(entries) is not ColumnarEdges
+        or entries.value_type is None
+        or not entries.mks
+        or type(entries.mks) is not tuple
+        or type(entries.values) is not tuple
+    ):
+        return None
+    if entries.raw is raw:
+        return entries
+    return ColumnarEdges(entries.mks, entries.values, raw, entries.value_type)
+
+
 def _decode_flat_edges(
     mv: memoryview, offset: int, start: int, count: int
 ) -> Optional[ColumnarEdges]:

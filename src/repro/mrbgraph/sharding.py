@@ -68,6 +68,7 @@ from repro.mrbgraph.store import (
     StoreMetrics,
     compact_data_file,
     encode_index_entries,
+    require_distinct_keys,
 )
 from repro.mrbgraph.wal import OP_COMPACT_BEGIN, OP_COMPACT_COMMIT, atomic_write
 from repro.mrbgraph.windows import ChunkLocation
@@ -557,15 +558,21 @@ class ShardedMRBGStore:
 
         Each shard receives its slice of the sorted query key list (the
         paper's L), keeping per-shard window planning intact.
+
+        Raises:
+            DuplicateChunkKey: L names some key twice — before any shard
+                journals its session.
         """
         self._check_open()
         if self._in_session:
             raise StoreError("merge session already in progress")
+        keys = list(queried_keys)
+        require_distinct_keys(keys)
         per_shard: List[List[Any]] = [[] for _ in range(self.num_shards)]
-        for key in queried_keys:
+        for key in keys:
             per_shard[self.router.shard_for(key)].append(key)
-        for shard, keys in zip(self._shards, per_shard):
-            shard.begin_merge(keys)
+        for shard, shard_keys in zip(self._shards, per_shard):
+            shard.begin_merge(shard_keys)
         self._in_session = True
 
     def get_chunk(self, key: Any) -> Optional[ColumnarEdges]:
@@ -609,11 +616,16 @@ class ShardedMRBGStore:
         re-interleaved into the caller's original (sorted) key order, so
         downstream Reduce re-runs observe exactly the single-store
         sequence.
+
+        Raises:
+            DuplicateChunkKey: the delta has two groups for one key —
+                before any shard journals its session.
         """
         self._check_open()
         if self._in_session:
             raise StoreError("merge session already in progress")
         delta_list = list(delta_by_key)
+        require_distinct_keys([k2 for k2, _ in delta_list])
         per_shard: List[List[Tuple[Any, List[DeltaEdge]]]] = [
             [] for _ in range(self.num_shards)
         ]
@@ -717,7 +729,6 @@ class ShardedMRBGStore:
         specs = []
         for keys, old_size, result in zip(shard_keys, old_sizes, results):
             shard = self._shards[result.shard_id]
-            shard._fh.close()
             if shard._wal is not None:
                 # Commit record (with the full new placement list) is
                 # durable before the swap: recovery can finish or undo it.
@@ -731,14 +742,13 @@ class ShardedMRBGStore:
                 )
                 shard._wal_flush()
                 os.replace(shard._data_path + ".compact", shard._data_path)
-            shard._fh = open(shard._data_path, "r+b")
-            shard._file_size = result.file_size
-            shard._index = {
-                key: ChunkLocation(offset, length, 0)
-                for key, (offset, length) in zip(keys, result.locations)
-            }
-            shard._num_batches = 1 if shard._index else 0
-            shard._windows.clear()
+            shard._adopt_compacted(
+                {
+                    key: ChunkLocation(offset, length, 0)
+                    for key, (offset, length) in zip(keys, result.locations)
+                },
+                result.file_size,
+            )
             compact_s = shard.cost_model.store_read_time(
                 old_size
             ) + shard.cost_model.store_write_time(result.file_size)

@@ -30,11 +30,16 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequ
 
 from repro.cluster.costmodel import CostModel
 from repro.common import config
-from repro.common.errors import ChunkKeyMismatch, StoreClosedError, StoreError
+from repro.common.errors import (
+    ChunkKeyMismatch,
+    DuplicateChunkKey,
+    StoreClosedError,
+    StoreError,
+)
 from repro.common.kvpair import sort_key
 from repro.common.serialization import decode_many, encode, encode_many
 from repro.faults.injection import CrashDirective, InjectedCrash
-from repro.mrbgraph.chunk import ColumnarEdges, decode_chunk, encode_chunk
+from repro.mrbgraph.chunk import ColumnarEdges, decode_chunk, decoded_columns, encode_chunk
 from repro.mrbgraph.compaction import (
     CompactionSpec,
     CompactionStats,
@@ -118,6 +123,21 @@ def decode_index(raw: bytes) -> Tuple[Dict[Any, ChunkLocation], int]:
         for key, offset, length, batch in entries
     }
     return index, header["num_batches"]
+
+
+def require_distinct_keys(keys: Sequence[Any]) -> None:
+    """Refuse a merge session whose key list names some K2 twice.
+
+    Raises:
+        DuplicateChunkKey: naming the first repeated key.
+    """
+    if len(set(keys)) == len(keys):
+        return
+    seen = set()
+    for key in keys:
+        if key in seen:
+            raise DuplicateChunkKey(key)
+        seen.add(key)
 
 
 def compact_data_file(
@@ -296,6 +316,14 @@ class MRBGStore:
         self._pending_index: Dict[Any, ChunkLocation] = {}
         self._pending_deletes: List[Any] = []
         self._in_session = False
+
+        # Resident columns: K2 -> (offset, columns) for every chunk this
+        # object put with a proven value type, exactly as decode_chunk
+        # would return them from that offset.  A session stages its puts
+        # and end_merge publishes them with the index; a delete or an
+        # unproven put evicts the key at once (a read then decodes).
+        self._resident: Dict[Any, Tuple[int, ColumnarEdges]] = {}
+        self._pending_resident: Dict[Any, Tuple[int, ColumnarEdges]] = {}
 
         # Read-cache windows: slot -> (start_offset, memoryview over the
         # window bytes).  Cache hits decode straight out of the view, so
@@ -491,7 +519,7 @@ class MRBGStore:
         return len(raw)
 
     def close(self) -> None:
-        """Flush any open session and release the file handle."""
+        """Flush any open session, release the file handle, drop resident columns."""
         if self._closed:
             return
         if self._in_session:
@@ -500,13 +528,15 @@ class MRBGStore:
             self._wal_flush()
             self._wal.close()
         self._fh.close()
+        self._drop_resident()
         self._closed = True
 
     def abandon(self) -> None:
         """Drop the store without flushing anything (a simulated kill).
 
-        Pending append-buffer chunks and unflushed journal records are
-        lost exactly as a killed process would lose them; the directory
+        Pending append-buffer chunks, unflushed journal records and the
+        resident columns are lost exactly as a killed process would lose
+        them; the directory
         is left for :meth:`open` to recover.  Used by the fault-injection
         suite; all subsequent mutating calls become no-ops.
         """
@@ -516,6 +546,7 @@ class MRBGStore:
         if self._wal is not None:
             self._wal.abandon()
         self._fh.close()
+        self._drop_resident()
         self._closed = True
 
     @property
@@ -535,12 +566,18 @@ class MRBGStore:
         if self._wal is not None:
             self._wal.abandon()
         self._fh.close()
+        self._drop_resident()
         self._closed = True
         raise InjectedCrash(point, self.shard_id, directive.occurrence)
 
     def _check_open(self) -> None:
         if self._closed:
             raise StoreClosedError("store is closed")
+
+    def _drop_resident(self) -> None:
+        """Forget every resident chunk, as a process that exits would."""
+        self._resident = {}
+        self._pending_resident = {}
 
     # ------------------------------------------------------------------ #
     # write-ahead log plumbing                                           #
@@ -632,14 +669,20 @@ class MRBGStore:
 
         The query plan lets the window policy look ahead at the positions
         of upcoming chunks (Algorithm 1 line 3: "k's index in L").
+
+        Raises:
+            DuplicateChunkKey: L names some key twice — before anything
+                is journaled.
         """
         self._check_open()
         if self._in_session:
             raise StoreError("merge session already in progress")
+        keys = list(queried_keys)
+        require_distinct_keys(keys)
         self._begin_session()
         self._plan_key_slot.clear()
         self._plan_batch_lists.clear()
-        for key in queried_keys:
+        for key in keys:
             loc = self._index.get(key)
             if loc is None:
                 continue
@@ -655,15 +698,19 @@ class MRBGStore:
         self._buffer_len = 0
         self._pending_index = {}
         self._pending_deletes = []
+        self._pending_resident = {}
 
     def get_chunk(self, key: Any) -> Optional[ColumnarEdges]:
         """Retrieve the latest preserved chunk for ``key`` (None if absent).
 
         Reads go through the read cache; on a miss the window policy plans
         a physical read that may prefetch upcoming queried chunks.  Hit or
-        miss, the chunk is decoded once, at its relative offset in the
-        window view, into edges that own their memory — the window is
-        neither copied nor kept alive by what is returned.
+        miss, a chunk this object put is then compared byte for byte with
+        its resident columns' encoding and, when it matches at the same
+        offset, those columns are returned; any other chunk is decoded
+        once, at its relative offset in the window view, into edges that
+        own their memory — the window is neither copied nor kept alive by
+        what is returned.
 
         Raises:
             ChunkKeyMismatch: the chunk at ``key``'s index position was
@@ -688,6 +735,13 @@ class MRBGStore:
             window = (plan.offset, memoryview(self._physical_read(plan.offset, plan.nbytes)))
             self._windows[slot] = window
         start, view = window
+        resident = self._resident.get(key)
+        if (
+            resident is not None
+            and resident[0] == loc.offset
+            and view.obj.startswith(resident[1].raw, loc.offset - start)
+        ):
+            return resident[1]
         k2, entries, _ = decode_chunk(view, loc.offset - start)
         # ``!=`` alone would reject a NaN key read back from its own chunk.
         if k2 != key and encode(k2) != encode(key):
@@ -729,6 +783,11 @@ class MRBGStore:
         self._buffer.append(raw)
         self._buffer_len += len(raw)
         self._pending_index[key] = ChunkLocation(offset, len(raw), self._num_batches)
+        columns = decoded_columns(entries, raw)
+        if columns is None:
+            self._evict_resident(key)
+        else:
+            self._pending_resident[key] = (offset, columns)
         if self._buffer_len >= self.append_buffer_size:
             self._flush_buffer()
 
@@ -740,6 +799,11 @@ class MRBGStore:
         self._wal_append(OP_DELETE, key)
         self._pending_deletes.append(key)
         self._pending_index.pop(key, None)
+        self._evict_resident(key)
+
+    def _evict_resident(self, key: Any) -> None:
+        self._pending_resident.pop(key, None)
+        self._resident.pop(key, None)
 
     def _flush_buffer(self) -> None:
         if self._crashed or not self._buffer:
@@ -783,10 +847,12 @@ class MRBGStore:
         for key in self._pending_deletes:
             self._index.pop(key, None)
         self._index.update(self._pending_index)
+        self._resident.update(self._pending_resident)
         if wrote_any:
             self._num_batches += 1
         self._pending_index = {}
         self._pending_deletes = []
+        self._pending_resident = {}
         self._in_session = False
         self._plan_key_slot.clear()
         self._plan_batch_lists.clear()
@@ -802,6 +868,10 @@ class MRBGStore:
         the merged chunk is re-appended (or deleted when it became empty),
         and the merged edges are yielded so the caller can re-run the
         Reduce instance on their value column.
+
+        Raises:
+            DuplicateChunkKey: the delta has two groups for one key (see
+                :meth:`begin_merge`).
         """
         delta_list = list(delta_by_key)
         self.begin_merge([k2 for k2, _ in delta_list])
@@ -887,16 +957,28 @@ class MRBGStore:
             os.replace(self._data_path + ".compact", self._data_path)
             fsync_directory(os.path.dirname(os.path.abspath(self._data_path)))
 
-        self._fh.close()
-        self._fh = open(self._data_path, "r+b")
-        self._file_size = out_offset
-        self._index = new_index
-        self._num_batches = 1 if new_index else 0
-        self._windows.clear()
+        self._adopt_compacted(new_index, out_offset)
         self.metrics.compactions += 1
         self.metrics.compact_time_s += compact_read_s + self.cost_model.store_write_time(
             out_offset
         )
+
+    def _adopt_compacted(self, new_index: Dict[Any, ChunkLocation], file_size: int) -> None:
+        """Switch to a compacted ``mrbg.dat`` already swapped into place.
+
+        Compaction copies every live chunk verbatim, so resident columns
+        stay valid at their key's new offset.
+        """
+        self._fh.close()
+        self._fh = open(self._data_path, "r+b")
+        self._file_size = file_size
+        self._index = new_index
+        self._num_batches = 1 if new_index else 0
+        self._windows.clear()
+        self._resident = {
+            key: (new_index[key].offset, columns)
+            for key, (_, columns) in self._resident.items()
+        }
 
     def compaction_stats(self) -> CompactionStats:
         """Live statistics the compaction policy consults."""

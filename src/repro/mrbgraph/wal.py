@@ -20,6 +20,11 @@ replay stops at the first record whose length runs past the file or
 whose checksum fails, which is exactly the paper's crash model (a kill
 tears the *tail* of a sequential append).
 
+An ``OP_PUT`` record carries a whole encoded chunk, so
+:func:`encode_put_record` frames it directly — only the key goes through
+the codec, and the chunk bytes are checksummed and copied once — with
+the same bytes :func:`encode_wal_record` would produce.
+
 **Record types** (all tuples)::
 
     (OP_CHECKPOINT, data_size, num_batches)   index on disk reflects everything up to here
@@ -57,7 +62,16 @@ from dataclasses import dataclass
 from typing import Any, Iterator, List, Optional, Tuple
 
 from repro.common.errors import SerializationError, WALCorruptError
-from repro.common.serialization import as_view, decode, encode_into
+from repro.common.serialization import (
+    _I64,
+    _TAG_BYTES,
+    _TAG_INT,
+    _TAG_TUPLE,
+    _U32,
+    as_view,
+    decode,
+    encode_into,
+)
 
 #: On-disk WAL file name inside a store directory.
 WAL_FILE = "mrbg.wal"
@@ -94,6 +108,27 @@ def encode_wal_record(op: int, *fields: Any) -> bytes:
     payload = bytearray()
     encode_into((op, *fields), payload)
     return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+
+
+#: Payload bytes every ``OP_PUT`` record starts with: a 3-tuple header and
+#: the tagged opcode.
+_PUT_PREFIX = bytes([_TAG_TUPLE]) + _U32.pack(3) + bytes([_TAG_INT]) + _I64.pack(OP_PUT)
+
+
+def encode_put_record(key: Any, chunk: bytes) -> bytes:
+    """Frame ``(OP_PUT, key, chunk)`` without running the chunk through the codec.
+
+    Byte-identical to ``encode_wal_record(OP_PUT, key, chunk)``: only the
+    key is encoded; the bytes field's tag and length are written
+    directly, and the checksum chains ``crc32(chunk, crc32(prefix))`` so
+    the chunk is copied once, into the frame.
+    """
+    prefix = bytearray(_PUT_PREFIX)
+    encode_into(key, prefix)
+    prefix.append(_TAG_BYTES)
+    prefix += _U32.pack(len(chunk))
+    header = _HEADER.pack(len(prefix) + len(chunk), zlib.crc32(chunk, zlib.crc32(prefix)))
+    return b"".join((header, prefix, chunk))
 
 
 def decode_wal_record(
@@ -189,9 +224,13 @@ class WriteAheadLog:
 
         Records buffer in memory until :meth:`flush` — the store flushes
         the log before any dependent data write and at commit records,
-        which is all the write-ahead property needs.
+        which is all the write-ahead property needs.  A chunk put is
+        framed by :func:`encode_put_record`.
         """
-        raw = encode_wal_record(op, *fields)
+        if op == OP_PUT and len(fields) == 2 and type(fields[1]) is bytes:
+            raw = encode_put_record(*fields)
+        else:
+            raw = encode_wal_record(op, *fields)
         self._pending.append(raw)
         self.bytes_appended += len(raw)
         return len(raw)

@@ -9,6 +9,13 @@ patched straight into the chunk's encoded bytes.  This module keeps the
 ``reference_encode_chunk`` below — and requires that, for every input,
 both write the same bytes to ``mrbg.dat`` and ``mrbg.wal`` and count the
 same ``StoreMetrics``.
+
+A store also keeps the columns of every chunk it put with a proven value
+type resident, and ``get_chunk`` returns them instead of decoding when
+the on-disk bytes at the indexed offset still equal their encoding.
+``merge_path(reference=False, resident=False)`` turns that off, giving
+a decode-every-time reference the resident store must match read for
+read.
 """
 
 from __future__ import annotations
@@ -27,7 +34,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.mrbgraph.store as store_module
-from repro.common.errors import ChunkKeyMismatch, SerializationError, StoreError
+from repro.common.errors import (
+    ChunkKeyMismatch,
+    DuplicateChunkKey,
+    SerializationError,
+    StoreError,
+)
 from repro.common.kvpair import Op
 from repro.common.serialization import (
     _TAG_FLOAT,
@@ -144,22 +156,29 @@ def reference_apply_delta(old_entries: List[Edge], delta_entries) -> List[Edge]:
     return [Edge(mk, merged[mk]) for mk in sorted(merged)]
 
 
+def _never_resident(entries, raw):
+    return None
+
+
 @contextlib.contextmanager
-def merge_path(reference: bool):
+def merge_path(reference: bool, resident: bool = True):
     """Run ``MRBGStore`` on the reference ``List[Edge]`` functions.
 
     The store reaches the three functions through its module globals, so
     swapping those gives exactly the pre-change merge loop.  (A context
     manager rather than ``monkeypatch``: it is entered inside ``@given``.)
+    The reference never keeps chunks resident; ``resident=False`` alone
+    keeps the columnar codec but decodes every read.
     """
-    if not reference:
-        yield
-        return
-    swapped = {
-        "decode_chunk": reference_decode_chunk,
-        "apply_delta": reference_apply_delta,
-        "encode_chunk": reference_encode_chunk,
-    }
+    swapped = {}
+    if reference:
+        swapped.update(
+            decode_chunk=reference_decode_chunk,
+            apply_delta=reference_apply_delta,
+            encode_chunk=reference_encode_chunk,
+        )
+    if reference or not resident:
+        swapped["decoded_columns"] = _never_resident
     saved = {name: getattr(store_module, name) for name in swapped}
     for name, fn in swapped.items():
         setattr(store_module, name, fn)
@@ -267,6 +286,47 @@ def store_scenario(draw):
     return chunks, rounds
 
 
+_HISTORY_OPS = ["merge", "merge", "merge", "read", "compact", "save_index", "reopen",
+                "tamper"]
+
+
+@st.composite
+def store_history(draw):
+    """Initial chunks plus a random history of store operations.
+
+    Besides merges (replace-only, structural, deletes, wrong-typed and
+    out-of-range edges), a history reads every chunk, compacts, flushes
+    the index, kills and reopens the store, or overwrites a byte of one
+    chunk's values on disk behind the store's back.
+    """
+    keys = draw(st.lists(st.integers(0, 30), min_size=1, max_size=8, unique=True))
+    flavours = st.sampled_from(["float", "float", "int", "int"] + sorted(_VALUES))
+    chunks = {key: draw(chunk_edges(draw(flavours))) for key in sorted(keys)}
+    current = {key: list(edges) for key, edges in chunks.items()}
+    ops: List[Tuple[Any, ...]] = []
+    for _ in range(draw(st.integers(1, 7))):
+        kind = draw(st.sampled_from(_HISTORY_OPS))
+        if kind == "merge":
+            touched = draw(st.lists(st.sampled_from(sorted(keys) + [99, 100]), min_size=1,
+                                    max_size=5, unique=True))
+            delta = []
+            for key in sorted(touched):
+                old = current.get(key, [])
+                if old and draw(st.integers(0, 3)) == 0:  # empty the chunk: a delete
+                    edges = [DeltaEdge(mk, None, Op.DELETE) for mk, _ in old]
+                else:
+                    edges = draw(delta_edges(old))
+                delta.append((key, edges))
+                current[key] = reference_apply_delta(old, edges)
+            ops.append(("merge", delta))
+        elif kind == "tamper":
+            ops.append(("tamper", draw(st.integers(0, 99)), draw(st.integers(0, 7)),
+                        draw(st.integers(1, 255))))
+        else:
+            ops.append((kind,))
+    return chunks, ops
+
+
 # --------------------------------------------------------------------- #
 # helpers                                                               #
 # --------------------------------------------------------------------- #
@@ -313,6 +373,91 @@ def _run_single(directory: str, chunks, rounds, wal_enabled: bool = True):
     finally:
         store.close()
     return observed, on_disk, metrics, contents
+
+
+def _columns(entries) -> Tuple[str, str, Any, Any]:
+    """Everything a read returned: both columns, the bytes and the proof."""
+    return (repr(entries.mks), repr(entries.values), entries.raw, entries.value_type)
+
+
+def _tamper(store: MRBGStore, pick: int, back: int, mask: int) -> None:
+    """XOR ``mask`` into one of the last eight bytes of a live chunk on disk.
+
+    The chunk is one of the newest batch — the ones a store keeps
+    resident, if their type was proven.  The bytes are those of its last
+    value (or, in a generic chunk, of its last edge), so the key and the
+    framing stay intact.  The write goes through the store's own file
+    handle, so its next physical read sees it rather than a stale
+    read-ahead buffer.
+    """
+    newest = max((loc.batch for loc in store._index.values()), default=0)
+    keys = [key for key in store.keys() if store._index[key].batch == newest]
+    if not keys:
+        return
+    loc = store._index[keys[pick % len(keys)]]
+    position = loc.offset + loc.length - 1 - min(back, loc.length - 1)
+    fh = store._fh
+    fh.seek(position)
+    byte = fh.read(1)[0]
+    fh.seek(position)
+    fh.write(bytes([byte ^ mask]))
+    fh.flush()
+
+
+def _assert_resident_is_live(store: MRBGStore) -> None:
+    """Resident columns exist only for live chunks, at their indexed offset."""
+    for key, (offset, columns) in store._resident.items():
+        assert key in store._index, key
+        assert store._index[key].offset == offset, key
+        assert columns.value_type is not None and columns.raw is not None
+    assert not store._pending_resident
+
+
+def _attempt(fn) -> Any:
+    try:
+        return fn()
+    except (SerializationError, StoreError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _run_history(directory: str, chunks, ops, wal_enabled: bool):
+    """Replay a :func:`store_history` on a fresh store; returns what it saw."""
+    store = MRBGStore(directory, wal_enabled=wal_enabled, append_buffer_size=256)
+    observed: List[Any] = []
+
+    def read_all():
+        return [(key, _columns(store.get_chunk(key))) for key in store.keys()]
+
+    try:
+        store.build(sorted(chunks.items()))
+        for op in ops:
+            if op[0] == "merge":
+                observed.append(_attempt(lambda: [
+                    (k2, repr(list(entries))) for k2, entries in store.merge_delta(op[1])
+                ]))
+            elif op[0] == "read":
+                observed.append(_attempt(read_all))
+            elif op[0] == "compact":
+                store.compact()
+            elif op[0] == "save_index":
+                store.save_index()
+            elif op[0] == "reopen":
+                store.abandon()
+                store = MRBGStore.open(directory, wal_enabled=wal_enabled)
+                store.append_buffer_size = 256
+                assert not store._resident
+            else:
+                _tamper(store, *op[1:])
+                observed.append(_attempt(read_all))
+            _assert_resident_is_live(store)
+        observed.append(_attempt(read_all))
+        store._wal_flush()
+        on_disk = _store_bytes(directory)
+        metrics = dataclasses.asdict(store.metrics)
+    finally:
+        store.close()
+    assert not store._resident  # closing forgets the columns
+    return observed, on_disk, metrics
 
 
 # --------------------------------------------------------------------- #
@@ -481,6 +626,105 @@ class TestStoreDifferential:
         store.close()
 
 
+class TestResidentColumns:
+    @pytest.mark.parametrize("wal_enabled", [True, False], ids=["wal", "no-wal"])
+    @given(history=store_history())
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                     HealthCheck.too_slow])
+    def test_resident_reads_equal_decoded_reads(self, wal_enabled, history):
+        chunks, ops = history
+        with tempfile.TemporaryDirectory() as tmp:
+            with merge_path(reference=False, resident=False):
+                expected = _run_history(os.path.join(tmp, "decoded"), chunks, ops,
+                                        wal_enabled)
+            actual = _run_history(os.path.join(tmp, "resident"), chunks, ops, wal_enabled)
+        for got, want in zip(actual, expected):
+            assert got == want
+
+    def test_merged_chunks_are_served_resident(self, tmp_path):
+        store = MRBGStore(str(tmp_path / "s"))
+        store.build([(k, [Edge(i, float(i)) for i in range(6)]) for k in range(3)])
+        assert not store._resident  # a list-of-edges build proves nothing
+        merged = dict(store.merge_delta([
+            (0, [DeltaEdge(2, 0.5, Op.INSERT)]),               # replace-only
+            (1, [DeltaEdge(9, 0.5, Op.INSERT)]),               # structural
+            (2, [DeltaEdge(3, "x", Op.INSERT)]),               # unproven
+        ]))
+        assert set(store._resident) == {0, 1}
+        assert store.get_chunk(0) is merged[0]  # the patched columns themselves
+        assert store.get_chunk(1) is store._resident[1][1]
+        assert store.get_chunk(1) == merged[1] and store.get_chunk(1).raw is not None
+        assert store.get_chunk(2) is not merged[2] and store.get_chunk(2) == merged[2]
+        list(store.merge_delta([(0, [DeltaEdge(i, None, Op.DELETE) for i in range(6)]),
+                                (1, [DeltaEdge(9, 1, Op.INSERT)])]))
+        assert not store._resident  # a delete and an unproven put evict
+        store.close()
+
+    def test_compaction_moves_resident_columns_with_their_chunks(self, tmp_path):
+        store = MRBGStore(str(tmp_path / "s"))
+        store.build([(k, [Edge(i, float(i)) for i in range(6)]) for k in range(4)])
+        merged = dict(store.merge_delta([(k, [DeltaEdge(1, -1.0, Op.INSERT)])
+                                         for k in (1, 3)]))
+        store.compact()
+        assert {key: offset for key, (offset, _) in store._resident.items()} == {
+            key: store._index[key].offset for key in (1, 3)}
+        assert store.get_chunk(3) is merged[3]
+        store.close()
+
+    def test_a_killed_store_reopens_with_nothing_resident(self, tmp_path):
+        directory = str(tmp_path / "s")
+        store = MRBGStore(directory)
+        store.build([(1, [Edge(i, float(i)) for i in range(6)])])
+        merged = dict(store.merge_delta([(1, [DeltaEdge(1, -1.0, Op.INSERT)])]))
+        store.save_index()
+        assert 1 in store._resident
+        store.abandon()
+        assert not store._resident
+        reopened = MRBGStore.open(directory)
+        assert not reopened._resident
+        assert reopened.get_chunk(1) == merged[1]
+        reopened.close()
+
+
+class TestDuplicateKeyInOneSession:
+    @pytest.mark.parametrize("num_shards", [1, 4])
+    def test_a_repeated_key_is_refused_before_anything_is_journaled(self, tmp_path,
+                                                                    num_shards):
+        directory = str(tmp_path / "s")
+        store = ShardedMRBGStore(directory, num_shards=num_shards)
+        store.build([(1, [Edge(10, 1.0), Edge(11, 2.0)]), (2, [Edge(10, 1.0)])])
+        store.save_index()
+        before = _store_bytes(directory)
+        delta = [(1, [DeltaEdge(12, 1.0, Op.INSERT)]),
+                 (2, [DeltaEdge(12, 1.0, Op.INSERT)]),
+                 (1, [DeltaEdge(13, 1.0, Op.INSERT)])]
+        with pytest.raises(DuplicateChunkKey) as err:
+            list(store.merge_delta(delta))
+        assert isinstance(err.value, StoreError) and err.value.key == 1
+        with pytest.raises(DuplicateChunkKey):
+            store.begin_merge([1, 2, 1])
+        for shard in store.shards:
+            shard._wal_flush()
+        assert _store_bytes(directory) == before
+        # nothing was lost either: merging the groups one session each works
+        for group in delta:
+            list(store.merge_delta([group]))
+        assert store.get_chunk(1) == [Edge(10, 1.0), Edge(11, 2.0), Edge(12, 1.0),
+                                      Edge(13, 1.0)]
+        store.close()
+
+    def test_the_plain_store_refuses_it_too(self, tmp_path):
+        store = MRBGStore(str(tmp_path / "s"))
+        store.build([(1, [Edge(10, 1.0), Edge(11, 2.0)])])
+        appends = store.metrics.wal_appends
+        with pytest.raises(DuplicateChunkKey):
+            list(store.merge_delta([(1, [DeltaEdge(12, 1.0, Op.INSERT)]),
+                                    (1, [DeltaEdge(13, 1.0, Op.INSERT)])]))
+        assert store.metrics.wal_appends == appends and not store._in_session
+        store.close()
+
+
 class TestMisindexedChunk:
     def test_a_chunk_of_another_key_is_refused(self, tmp_path):
         store = MRBGStore(str(tmp_path / "s"))
@@ -497,6 +741,48 @@ class TestMisindexedChunk:
             list(store.merge_delta([(1, [DeltaEdge(0, 9.0, Op.INSERT)])]))
         assert store.file_size == size_before  # nothing of key 2 was merged under key 1
         assert store.get_chunk(2) == [Edge(i, 2.0) for i in range(5)]
+        store.close()
+
+    def _resident_pair(self, tmp_path) -> MRBGStore:
+        store = MRBGStore(str(tmp_path / "s"))
+        store.build([(k, [Edge(i, float(k)) for i in range(5)]) for k in (1, 2)])
+        list(store.merge_delta([(k, [DeltaEdge(0, float(k), Op.INSERT)]) for k in (1, 2)]))
+        assert set(store._resident) == {1, 2}
+        return store
+
+    def test_a_chunk_of_another_key_is_refused_while_both_are_resident(self, tmp_path):
+        store = self._resident_pair(tmp_path)
+        wrong = store._index[2]
+        store._index[1] = ChunkLocation(wrong.offset, wrong.length, wrong.batch)
+        with pytest.raises(ChunkKeyMismatch) as err:
+            store.get_chunk(1)
+        assert (err.value.requested, err.value.found) == (1, 2)
+        size_before = store.file_size
+        with pytest.raises(ChunkKeyMismatch):
+            list(store.merge_delta([(1, [DeltaEdge(0, 9.0, Op.INSERT)])]))
+        assert store.file_size == size_before
+        assert store.get_chunk(2) == [Edge(i, 2.0) for i in range(5)]
+        store.close()
+
+    @pytest.mark.parametrize("overwrite", ["value", "other-key"])
+    def test_bytes_overwritten_on_disk_are_read_not_the_resident_columns(self, tmp_path,
+                                                                         overwrite):
+        store = self._resident_pair(tmp_path)
+        one, two = store._index[1], store._index[2]
+        with open(os.path.join(store.directory, "mrbg.dat"), "r+b") as fh:
+            if overwrite == "value":  # the last edge's value
+                fh.seek(one.offset + one.length - 8)
+                fh.write(struct.pack("<d", 7.5))
+            else:  # key 2's chunk where key 1's was
+                fh.seek(two.offset)
+                chunk_two = fh.read(two.length)
+                fh.seek(one.offset)
+                fh.write(chunk_two)
+        if overwrite == "value":
+            assert store.get_chunk(1) == [Edge(i, 1.0) for i in range(4)] + [Edge(4, 7.5)]
+        else:
+            with pytest.raises(ChunkKeyMismatch):
+                store.get_chunk(1)
         store.close()
 
     def test_equal_keys_of_different_types_still_read(self, tmp_path):

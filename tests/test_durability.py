@@ -55,6 +55,7 @@ from repro.mrbgraph.wal import (
     WriteAheadLog,
     atomic_write,
     decode_wal_record,
+    encode_put_record,
     encode_wal_record,
     fsync_directory,
 )
@@ -555,6 +556,17 @@ class TestGoldenFormats:
             op, *fields = GOLDEN_RECORD_ARGS[rec["name"]]
             assert encode_wal_record(op, *fields).hex() == rec["hex"], rec["name"]
 
+    def test_staged_records_match_golden(self, golden, tmp_path):
+        # WriteAheadLog.append frames OP_PUT directly, every other opcode
+        # through the codec: both must stage the pinned bytes.
+        wal = WriteAheadLog(str(tmp_path / "mrbg.wal"))
+        for rec in golden["records"]:
+            op, *fields = GOLDEN_RECORD_ARGS[rec["name"]]
+            assert wal.append(op, *fields) == len(rec["hex"]) // 2
+        wal.close()
+        with open(tmp_path / "mrbg.wal", "rb") as fh:
+            assert fh.read().hex() == golden["stream"]
+
     def test_records_decode_roundtrip(self, golden):
         for rec in golden["records"]:
             raw = bytes.fromhex(rec["hex"])
@@ -615,6 +627,47 @@ class TestGoldenFormats:
         store.close()
         with open(tmp_path / "s" / "mrbg.shards", "rb") as fh:
             assert fh.read().hex() == spec["hex"]
+
+
+_codec_keys = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(min_value=-(1 << 63), max_value=(1 << 63) - 1),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.sampled_from([float("nan"), -0.0]),
+        st.text(max_size=6),
+        st.binary(max_size=6),
+    ),
+    lambda inner: st.one_of(
+        st.tuples(inner, inner),
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    ),
+    max_leaves=6,
+)
+
+
+class TestDirectPutFrame:
+    """``OP_PUT`` records skip the codec for the chunk, not for the bytes."""
+
+    @given(key=_codec_keys, chunk=st.binary(max_size=300))
+    @settings(max_examples=300, deadline=None)
+    def test_direct_frame_is_the_codec_frame(self, key, chunk):
+        assert encode_put_record(key, chunk) == encode_wal_record(OP_PUT, key, chunk)
+        record, end = decode_wal_record(encode_put_record(key, chunk))
+        assert end == len(encode_put_record(key, chunk))
+        assert record[0] == OP_PUT and record[2] == chunk
+
+    def test_append_takes_the_direct_path_only_for_bytes(self, tmp_path):
+        wal = WriteAheadLog(str(tmp_path / "mrbg.wal"))
+        for key, chunk in (("k", b""), ((1, "x"), b"\x00" * 40), (2, "not bytes")):
+            wal.append(OP_PUT, key, chunk)
+        wal.close()
+        with open(tmp_path / "mrbg.wal", "rb") as fh:
+            replay = WriteAheadLog.replay_bytes(fh.read())
+        assert [rec[1:] for rec in replay.records] == [
+            ("k", b""), ((1, "x"), b"\x00" * 40), (2, "not bytes")]
 
 
 class TestAtomicWrite:
