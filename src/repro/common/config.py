@@ -99,13 +99,6 @@ DEFAULT_PREFETCH_LOOKAHEAD = _env_int("REPRO_PREFETCH_LOOKAHEAD", 256)
 #: ``REPRO_SHARDS`` environment variable.
 DEFAULT_NUM_SHARDS = _env_int("REPRO_SHARDS", 1)
 
-#: Whether every MRBG-Store journals mutations to a per-store write-ahead
-#: log (``mrbg.wal``) and replays it on ``open()`` — crash-safe
-#: preserved state, on by default.  Overridable via the ``REPRO_WAL``
-#: environment variable (``REPRO_WAL=0`` restores the paper's
-#: non-durable store).
-DEFAULT_WAL_ENABLED = _env_flag("REPRO_WAL", True)
-
 #: Default MRBG-Store compaction policy (``"full"`` / ``"size-tiered"`` /
 #: ``"leveled"``; see :mod:`repro.mrbgraph.compaction`).  Overridable via
 #: the ``REPRO_COMPACTION`` environment variable or per job via

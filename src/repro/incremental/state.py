@@ -42,7 +42,6 @@ class PreservedJobState:
         num_shards: Optional[int] = None,
         store_executor: Any = None,
         num_workers: Optional[int] = None,
-        wal_enabled: Optional[bool] = None,
         compaction: Any = None,
         fault_hook: Any = None,
     ) -> None:
@@ -62,9 +61,8 @@ class PreservedJobState:
         #: simulated workers shard placement spreads over (the engines
         #: pass their cluster's size; None = DEFAULT_NUM_WORKERS).
         self._num_workers = num_workers
-        #: durability knobs handed to every store this state creates
-        #: (None = config defaults; see repro.mrbgraph.wal/compaction).
-        self._wal_enabled = wal_enabled
+        #: compaction policy and crash hook handed to every store this
+        #: state creates (None = config default; see repro.mrbgraph.compaction).
         self._compaction = compaction
         self._fault_hook = fault_hook
         self._stores: Dict[int, StoreLike] = {}
@@ -94,7 +92,6 @@ class PreservedJobState:
                     cost_model=self._cost_model,
                     executor=self._store_executor,
                     num_workers=self._num_workers,
-                    wal_enabled=self._wal_enabled,
                     compaction=self._compaction,
                     fault_hook=self._fault_hook,
                 )
@@ -106,19 +103,16 @@ class PreservedJobState:
                     cost_model=self._cost_model,
                     executor=self._store_executor,
                     num_workers=self._num_workers,
-                    wal_enabled=self._wal_enabled,
                     compaction=self._compaction,
                     fault_hook=self._fault_hook,
                 )
-            elif os.path.exists(os.path.join(directory, "mrbg.idx")) or (
-                self._wal_enabled is not False
-                and os.path.exists(os.path.join(directory, "mrbg.wal"))
+            elif os.path.exists(os.path.join(directory, "mrbg.idx")) or os.path.exists(
+                os.path.join(directory, "mrbg.wal")
             ):
                 self._stores[partition] = MRBGStore.open(
                     directory,
                     policy=self._policy_factory(),
                     cost_model=self._cost_model,
-                    wal_enabled=self._wal_enabled,
                     compaction=self._compaction,
                     fault_hook=self._fault_hook,
                 )
@@ -127,7 +121,6 @@ class PreservedJobState:
                     directory,
                     policy=self._policy_factory(),
                     cost_model=self._cost_model,
-                    wal_enabled=self._wal_enabled,
                     compaction=self._compaction,
                     fault_hook=self._fault_hook,
                 )

@@ -16,7 +16,7 @@ trigger pluggable per store (and therefore per shard of a
   read-amplification bound (the invariant leveled stores maintain).
 
 Every policy still performs the same physical operation — the streaming
-full rewrite of :func:`repro.mrbgraph.store.compact_data_file` — so the
+full rewrite of :func:`repro.mrbgraph.store.run_shard_compact` — so the
 on-disk format and the byte-identical equivalence contract are
 untouched; a policy only decides *whether* an idle-time
 :meth:`~repro.mrbgraph.store.MRBGStore.maybe_compact` call rewrites now

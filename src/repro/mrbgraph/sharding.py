@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import bisect
 import os
-from dataclasses import dataclass
 from typing import (
     Any,
     Dict,
@@ -66,15 +65,13 @@ from repro.mrbgraph.store import (
     FaultHook,
     MRBGStore,
     StoreMetrics,
-    compact_data_file,
-    encode_index_entries,
     require_distinct_keys,
+    run_shard_compact,
+    run_shard_index_flush,
 )
-from repro.mrbgraph.wal import OP_COMPACT_BEGIN, OP_COMPACT_COMMIT, atomic_write
-from repro.mrbgraph.windows import ChunkLocation
+from repro.mrbgraph.wal import atomic_write
 
 _MANIFEST_FILE = "mrbg.shards"
-_INDEX_FILE = "mrbg.idx"
 _SHARD_DIR_FMT = "shard-%04d"
 
 #: Callable producing a fresh window policy per shard.
@@ -180,8 +177,11 @@ def router_from_spec(spec: Dict[str, Any]) -> ShardRouter:
 # they hold open file handles), so they are dispatched with
 # ``picklable=False`` — the process backend falls back to in-process
 # execution while the thread backend runs shards genuinely concurrently.
-# Compaction and index flushes instead ship *plain-data* payloads, so
-# they parallelize on every backend including processes.
+# Compaction rewrites and index flushes instead ship the plain-data
+# payloads of :func:`repro.mrbgraph.store.run_shard_compact` and
+# :func:`repro.mrbgraph.store.run_shard_index_flush` (imported here, where
+# the benchmark tracer finds them), so they parallelize on every backend
+# including processes.
 
 
 def _run_shard_build(pair: Tuple[MRBGStore, List[Tuple[Any, Sequence[Edge]]]]) -> None:
@@ -196,74 +196,6 @@ def _run_shard_merge(
     """Apply one shard's slice of a delta merge (thread-level task)."""
     shard, groups = pair
     return list(shard.merge_delta(groups))
-
-
-@dataclass
-class ShardCompactTask:
-    """Plain-data payload of one shard compaction (picklable)."""
-
-    shard_id: int
-    data_path: str
-    #: live ``(offset, length)`` placements in K2 order.
-    locations: List[Tuple[int, int]]
-    append_buffer_size: int
-    #: leave the complete rewrite as ``<data_path>.compact`` instead of
-    #: swapping it in — the WAL-protected coordinator journals the
-    #: compaction commit record first, then performs the swap itself.
-    leave_temp: bool = False
-
-
-@dataclass
-class ShardCompactResult:
-    """What one shard compaction produced (picklable)."""
-
-    shard_id: int
-    #: new ``(offset, length)`` placements, aligned with the task order.
-    locations: List[Tuple[int, int]]
-    file_size: int
-
-
-def run_shard_compact(task: ShardCompactTask) -> ShardCompactResult:
-    """Stream-compact one shard's data file; pure function of the file."""
-    locations = [
-        ChunkLocation(offset, length, 0) for offset, length in task.locations
-    ]
-    new_locations, out_offset = compact_data_file(
-        task.data_path,
-        locations,
-        task.append_buffer_size,
-        replace=not task.leave_temp,
-    )
-    return ShardCompactResult(
-        shard_id=task.shard_id,
-        locations=[(loc.offset, loc.length) for loc in new_locations],
-        file_size=out_offset,
-    )
-
-
-@dataclass
-class ShardIndexFlushTask:
-    """Plain-data payload of one shard index flush (picklable)."""
-
-    shard_id: int
-    index_path: str
-    #: ``(key, offset, length, batch)`` rows in index insertion order.
-    entries: List[Tuple[Any, int, int, int]]
-    num_batches: int
-
-
-def run_shard_index_flush(task: ShardIndexFlushTask) -> int:
-    """Write one shard's ``mrbg.idx`` atomically; returns bytes written.
-
-    Produces byte-identical files to
-    :meth:`repro.mrbgraph.store.MRBGStore.save_index` (both go through
-    :func:`repro.mrbgraph.store.encode_index_entries` and the same
-    write-temp + fsync + rename swap of
-    :func:`repro.mrbgraph.wal.atomic_write`).
-    """
-    raw = encode_index_entries(task.entries, task.num_batches)
-    atomic_write(task.index_path, raw)
-    return len(raw)
 
 
 # ---------------------------------------------------------------------- #
@@ -300,7 +232,6 @@ class ShardedMRBGStore:
         prefetch_lookahead: int = config.DEFAULT_PREFETCH_LOOKAHEAD,
         executor: Any = None,
         num_workers: Optional[int] = None,
-        wal_enabled: Optional[bool] = None,
         compaction: CompactionSpec = None,
         fault_hook: Optional[FaultHook] = None,
         _reopen: bool = False,
@@ -349,7 +280,6 @@ class ShardedMRBGStore:
                     shard_dir,
                     policy=policy,
                     cost_model=self.cost_model,
-                    wal_enabled=wal_enabled,
                     compaction=compaction,
                     fault_hook=fault_hook,
                     shard_id=sid,
@@ -361,7 +291,6 @@ class ShardedMRBGStore:
                     cost_model=self.cost_model,
                     append_buffer_size=append_buffer_size,
                     prefetch_lookahead=prefetch_lookahead,
-                    wal_enabled=wal_enabled,
                     compaction=compaction,
                     fault_hook=fault_hook,
                     shard_id=sid,
@@ -381,7 +310,6 @@ class ShardedMRBGStore:
         cost_model: Optional[CostModel] = None,
         executor: Any = None,
         num_workers: Optional[int] = None,
-        wal_enabled: Optional[bool] = None,
         compaction: CompactionSpec = None,
         fault_hook: Optional[FaultHook] = None,
     ) -> "ShardedMRBGStore":
@@ -403,7 +331,6 @@ class ShardedMRBGStore:
             cost_model=cost_model,
             executor=executor,
             num_workers=num_workers,
-            wal_enabled=wal_enabled,
             compaction=compaction,
             fault_hook=fault_hook,
             _reopen=True,
@@ -679,109 +606,48 @@ class ShardedMRBGStore:
     # maintenance                                                        #
     # ------------------------------------------------------------------ #
 
+    def _run_maintenance(self, fn: Any, tasks: List[Any]) -> List[Any]:
+        """Run one maintenance round's per-shard tasks, in shard order.
+
+        The only thing a crash hook decides: with one installed the tasks
+        run here, one after another — their crash sites close over live
+        shards, and a resilient backend would retry an
+        :class:`~repro.faults.injection.InjectedCrash` — otherwise they fan
+        out on the execution backend.
+        """
+        if any(shard.fault_hook is not None for shard in self._shards):
+            return [fn(task) for task in tasks]
+        return self._backend().run_tasks(fn, tasks)
+
     def compact(self) -> ScheduleResult:
         """Offline reconstruction of every shard, fanned out in parallel.
 
-        Each shard compaction is a pure plain-data task
-        (:func:`run_shard_compact`), so it parallelizes on *every*
-        backend — including processes.  Per-shard simulated costs are
-        identical to :meth:`MRBGStore.compact` (one sequential scan of
-        the old shard file plus one sequential write of its live bytes)
-        and are charged to the shard metrics; the stage's locality-aware
-        placement on the simulated cluster is returned (and kept in
-        :attr:`last_schedule`).
+        Every shard runs :meth:`MRBGStore.compact`'s protocol: its
+        :meth:`~MRBGStore.begin_compact` journals the intent, the
+        plain-data rewrites (:func:`run_shard_compact`) run as one round
+        (see :meth:`_run_maintenance`), and
+        :meth:`~MRBGStore.commit_compact` journals the commit and swaps.
+        Per-shard simulated costs are charged to the shard metrics; the
+        stage's locality-aware placement on the simulated cluster is
+        returned (and kept in :attr:`last_schedule`).
         """
         self._check_open()
         if self._in_session or any(shard._in_session for shard in self._shards):
             raise StoreError("cannot compact during a merge session")
-        if any(shard.fault_hook is not None for shard in self._shards):
-            # Crash injection needs the full per-shard WAL protocol with
-            # its in-operation crash sites — run shard compactions
-            # serially through MRBGStore.compact (placement unchanged).
-            return self._compact_serial()
-
-        tasks: List[ShardCompactTask] = []
-        shard_keys: List[List[Any]] = []
-        old_sizes: List[int] = []
-        for sid, shard in enumerate(self._shards):
-            keys = shard.keys()
-            shard_keys.append(keys)
-            old_sizes.append(shard.file_size)
-            # WAL-protected shards journal the compaction intent before
-            # the temp rewrite starts anywhere.
-            if shard._wal is not None:
-                shard._wal_append(OP_COMPACT_BEGIN)
-                shard._wal_flush()
-            tasks.append(
-                ShardCompactTask(
-                    shard_id=sid,
-                    data_path=shard._data_path,
-                    locations=[
-                        (shard._index[key].offset, shard._index[key].length)
-                        for key in keys
-                    ],
-                    append_buffer_size=shard.append_buffer_size,
-                    leave_temp=shard._wal is not None,
-                )
+        old_sizes = [shard.file_size for shard in self._shards]
+        begun = [shard.begin_compact() for shard in self._shards]
+        results = self._run_maintenance(run_shard_compact, [task for _, task in begun])
+        specs = [
+            ShardTaskSpec(
+                task_id=f"compact-{sid:04d}",
+                cost_s=shard.commit_compact(keys, result),
+                shard_id=sid,
+                read_bytes=old_size,
             )
-        results = self._backend().run_tasks(run_shard_compact, tasks)
-
-        specs = []
-        for keys, old_size, result in zip(shard_keys, old_sizes, results):
-            shard = self._shards[result.shard_id]
-            if shard._wal is not None:
-                # Commit record (with the full new placement list) is
-                # durable before the swap: recovery can finish or undo it.
-                shard._wal_append(
-                    OP_COMPACT_COMMIT,
-                    [
-                        (key, offset, length)
-                        for key, (offset, length) in zip(keys, result.locations)
-                    ],
-                    result.file_size,
-                )
-                shard._wal_flush()
-                os.replace(shard._data_path + ".compact", shard._data_path)
-            shard._adopt_compacted(
-                {
-                    key: ChunkLocation(offset, length, 0)
-                    for key, (offset, length) in zip(keys, result.locations)
-                },
-                result.file_size,
+            for sid, (shard, (keys, _), result, old_size) in enumerate(
+                zip(self._shards, begun, results, old_sizes)
             )
-            compact_s = shard.cost_model.store_read_time(
-                old_size
-            ) + shard.cost_model.store_write_time(result.file_size)
-            shard.metrics.compactions += 1
-            shard.metrics.compact_time_s += compact_s
-            specs.append(
-                ShardTaskSpec(
-                    task_id=f"compact-{result.shard_id:04d}",
-                    cost_s=compact_s,
-                    shard_id=result.shard_id,
-                    read_bytes=old_size,
-                )
-            )
-        self.last_schedule = schedule_shard_stage(
-            specs, self.placement, self.cost_model
-        )
-        return self.last_schedule
-
-    def _compact_serial(self) -> ScheduleResult:
-        """Shard-by-shard compaction through :meth:`MRBGStore.compact`."""
-        specs = []
-        for sid, shard in enumerate(self._shards):
-            old_size = shard.file_size
-            shard.compact()
-            specs.append(
-                ShardTaskSpec(
-                    task_id=f"compact-{sid:04d}",
-                    cost_s=shard.cost_model.store_read_time(old_size)
-                    + shard.cost_model.store_write_time(shard.file_size),
-                    shard_id=sid,
-                    read_bytes=old_size,
-                )
-            )
+        ]
         self.last_schedule = schedule_shard_stage(
             specs, self.placement, self.cost_model
         )
@@ -802,67 +668,25 @@ class ShardedMRBGStore:
     def save_index(self) -> int:
         """Flush every shard's hash index in parallel; returns total bytes.
 
-        Index flushes ship plain-data payloads
-        (:func:`run_shard_index_flush`) producing byte-identical
-        ``mrbg.idx`` files to per-shard :meth:`MRBGStore.save_index`
-        calls (same atomic temp + fsync + rename swap); the write cost is
-        charged to each shard's metrics exactly as the serial path would,
-        and each shard's write-ahead log is reset to a checkpoint once
-        its index is durable.
+        Every shard runs :meth:`MRBGStore.save_index`'s protocol:
+        :meth:`~MRBGStore.begin_index_flush`, the plain-data index writes
+        (:func:`run_shard_index_flush`) as one round (see
+        :meth:`_run_maintenance`), then
+        :meth:`~MRBGStore.commit_index_flush`, which charges each write to
+        its shard and resets that shard's write-ahead log.
         """
         self._check_open()
-        if any(shard.fault_hook is not None for shard in self._shards):
-            # Crash injection needs the in-operation ``pre-index-swap``
-            # site — flush serially through MRBGStore.save_index.
-            specs = []
-            sizes = []
-            for sid, shard in enumerate(self._shards):
-                nbytes = shard.save_index()
-                sizes.append(nbytes)
-                specs.append(
-                    ShardTaskSpec(
-                        task_id=f"flush-{sid:04d}",
-                        cost_s=shard.cost_model.store_write_time(nbytes),
-                        shard_id=sid,
-                        read_bytes=0,
-                    )
-                )
-            self.last_schedule = schedule_shard_stage(
-                specs, self.placement, self.cost_model
-            )
-            return sum(sizes)
-        for shard in self._shards:
-            shard._wal_flush()
-        tasks = [
-            ShardIndexFlushTask(
+        tasks = [shard.begin_index_flush() for shard in self._shards]
+        sizes = self._run_maintenance(run_shard_index_flush, tasks)
+        specs = [
+            ShardTaskSpec(
+                task_id=f"flush-{sid:04d}",
+                cost_s=shard.commit_index_flush(nbytes),
                 shard_id=sid,
-                index_path=os.path.join(shard.directory, _INDEX_FILE),
-                entries=[
-                    (key, loc.offset, loc.length, loc.batch)
-                    for key, loc in shard._index.items()
-                ],
-                num_batches=shard._num_batches,
+                read_bytes=0,
             )
-            for sid, shard in enumerate(self._shards)
+            for sid, (shard, nbytes) in enumerate(zip(self._shards, sizes))
         ]
-        sizes = self._backend().run_tasks(run_shard_index_flush, tasks)
-
-        specs = []
-        for sid, nbytes in enumerate(sizes):
-            shard = self._shards[sid]
-            shard.metrics.io_writes += 1
-            shard.metrics.bytes_written += nbytes
-            write_s = shard.cost_model.store_write_time(nbytes)
-            shard.metrics.write_time_s += write_s
-            shard._wal_reset()
-            specs.append(
-                ShardTaskSpec(
-                    task_id=f"flush-{sid:04d}",
-                    cost_s=write_s,
-                    shard_id=sid,
-                    read_bytes=0,
-                )
-            )
         self.last_schedule = schedule_shard_stage(
             specs, self.placement, self.cost_model
         )

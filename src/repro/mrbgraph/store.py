@@ -25,7 +25,7 @@ to compact is delegated to a pluggable policy
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.cluster.costmodel import CostModel
@@ -140,72 +140,128 @@ def require_distinct_keys(keys: Sequence[Any]) -> None:
         seen.add(key)
 
 
-def compact_data_file(
-    data_path: str,
-    locations: List[ChunkLocation],
-    append_buffer_size: int,
-    replace: bool = True,
-    progress: Optional[Callable[[int], None]] = None,
-) -> Tuple[List[ChunkLocation], int]:
-    """Stream-rewrite live chunks into a compacted data file.
+#: Signature of a task's crash site: ``(point, nbytes)``; raises
+#: :class:`~repro.faults.injection.InjectedCrash` when the store's fault
+#: hook fires there (see :meth:`MRBGStore._crash_site`).
+CrashSite = Callable[[str, int], None]
 
-    ``locations`` is the live-chunk placement list in K2 order.  The
-    rewrite copies each chunk into a sibling temp file (coalescing
-    physically contiguous chunks into single reads, flushing the output
-    in ``append_buffer_size`` batches) and — when ``replace`` is true —
-    atomically replaces ``data_path``; with ``replace=False`` the
-    complete rewrite is left beside the data file as
-    ``data_path + ".compact"`` so a WAL-protected caller can journal its
-    commit record before performing the swap itself.  ``progress`` (if
-    given) is called with the cumulative output byte count after every
-    physical temp-file write — the ``mid-compact-write`` crash site;
-    raising from it abandons a partial temp file and leaves ``data_path``
-    untouched.  Returns the new locations (same order, batch 0) and the
-    compacted file size.  Pure function of the file content, so
-    per-shard compactions can run concurrently on any execution backend
-    with byte-identical results.
+
+@dataclass
+class ShardCompactTask:
+    """Plain-data payload of one store's compaction rewrite.
+
+    Picklable unless ``crash_site`` is set, which only a store with a
+    fault hook does; such tasks run in the process that owns the store.
     """
-    tmp_path = data_path + ".compact"
-    new_locations: List[ChunkLocation] = []
+
+    data_path: str
+    #: live ``(offset, length)`` placements in K2 order.
+    locations: List[Tuple[int, int]]
+    append_buffer_size: int
+    crash_site: Optional[CrashSite] = None
+
+
+@dataclass
+class ShardCompactResult:
+    """What one compaction rewrite produced (picklable)."""
+
+    #: new ``(offset, length)`` placements, aligned with the task order.
+    locations: List[Tuple[int, int]]
+    file_size: int
+
+
+def run_shard_compact(task: ShardCompactTask) -> ShardCompactResult:
+    """Stream-rewrite one store's live chunks into ``mrbg.dat.compact``.
+
+    Copies each chunk of ``task.locations`` (K2 order) into the sibling
+    temp file, coalescing physically contiguous chunks into single reads
+    and flushing the output in ``append_buffer_size`` batches, and leaves
+    it there: :meth:`MRBGStore.commit_compact` journals the commit record
+    before it swaps the rewrite in.  After every physical temp-file write
+    the task's crash site (if set) is consulted with the cumulative output
+    byte count — the ``mid-compact-write`` site; a crash there abandons a
+    partial temp file and leaves ``mrbg.dat`` untouched.  Pure function of
+    the file content, so per-shard rewrites run concurrently on any
+    execution backend with byte-identical results.
+    """
+    locations = task.locations
+    limit = task.append_buffer_size
+    site = task.crash_site
+    new_locations: List[Tuple[int, int]] = []
     out_offset = 0
     written = 0
-    with open(data_path, "rb") as src, open(tmp_path, "wb") as out:
+    with open(task.data_path, "rb") as src, open(task.data_path + ".compact", "wb") as out:
         buffer = bytearray()
         i = 0
         while i < len(locations):
             # Coalesce a run of chunks that are contiguous on disk in
             # key order (one merge session appends in exactly that
             # order, so whole batches coalesce into single reads).
-            run_start = locations[i].offset
-            run_end = run_start + locations[i].length
+            run_start, length = locations[i]
+            run_end = run_start + length
             j = i + 1
             while (
                 j < len(locations)
-                and locations[j].offset == run_end
-                and run_end + locations[j].length - run_start <= append_buffer_size
+                and locations[j][0] == run_end
+                and run_end + locations[j][1] - run_start <= limit
             ):
-                run_end += locations[j].length
+                run_end += locations[j][1]
                 j += 1
             src.seek(run_start)
             buffer += src.read(run_end - run_start)
-            for k in range(i, j):
-                new_locations.append(ChunkLocation(out_offset, locations[k].length, 0))
-                out_offset += locations[k].length
-            if len(buffer) >= append_buffer_size:
+            for _, length in locations[i:j]:
+                new_locations.append((out_offset, length))
+                out_offset += length
+            if len(buffer) >= limit:
                 out.write(buffer)
                 written += len(buffer)
                 buffer.clear()
-                if progress is not None:
-                    progress(written)
+                if site is not None:
+                    site("mid-compact-write", written)
             i = j
         if buffer:
             out.write(buffer)
             written += len(buffer)
-            if progress is not None:
-                progress(written)
-    if replace:
-        os.replace(tmp_path, data_path)
-    return new_locations, out_offset
+            if site is not None:
+                site("mid-compact-write", written)
+    return ShardCompactResult(locations=new_locations, file_size=out_offset)
+
+
+@dataclass
+class ShardIndexFlushTask:
+    """Plain-data payload of one store's index flush.
+
+    Picklable unless ``crash_site`` is set (see :class:`ShardCompactTask`).
+    """
+
+    index_path: str
+    #: ``(key, offset, length, batch)`` rows in index insertion order.
+    entries: List[Tuple[Any, int, int, int]]
+    num_batches: int
+    crash_site: Optional[CrashSite] = None
+
+
+def run_shard_index_flush(task: ShardIndexFlushTask) -> int:
+    """Write one store's ``mrbg.idx`` atomically; returns bytes written.
+
+    Encodes with :func:`encode_index_entries` and swaps through
+    :func:`repro.mrbgraph.wal.atomic_write`, whose ``pre-index-swap`` and
+    ``pre-dir-fsync`` crash sites ``crash_site`` (if set) guards.
+    """
+    raw = encode_index_entries(task.entries, task.num_batches)
+    site = task.crash_site
+    pre_replace = pre_dir_sync = None
+    if site is not None:
+        def pre_replace() -> None:
+            site("pre-index-swap", len(raw))
+
+        def pre_dir_sync() -> None:
+            # The rename happened but its directory entry is not yet
+            # durable — the window the directory fsync closes.
+            site("pre-dir-fsync", len(raw))
+
+    atomic_write(task.index_path, raw, pre_replace=pre_replace, pre_dir_sync=pre_dir_sync)
+    return len(raw)
 
 
 @dataclass
@@ -215,8 +271,8 @@ class StoreMetrics:
     The ``wal_*`` fields and ``recoveries`` account write-ahead-log
     maintenance and crash recovery *separately* from the paper's store
     I/O — like ``compact_time_s`` they are never folded into a job's
-    simulated stage times, so turning durability on changes no Fig 8–13
-    or Table 4 number.
+    simulated stage times, so durability changes no Fig 8–13 or
+    Table 4 number.
     """
 
     io_reads: int = 0
@@ -270,7 +326,6 @@ class MRBGStore:
         cost_model: Optional[CostModel] = None,
         append_buffer_size: int = config.DEFAULT_APPEND_BUFFER_SIZE,
         prefetch_lookahead: int = config.DEFAULT_PREFETCH_LOOKAHEAD,
-        wal_enabled: Optional[bool] = None,
         compaction: CompactionSpec = None,
         fault_hook: Optional[FaultHook] = None,
         shard_id: int = 0,
@@ -282,9 +337,6 @@ class MRBGStore:
         self.append_buffer_size = append_buffer_size
         self.prefetch_lookahead = prefetch_lookahead
         self.metrics = StoreMetrics()
-        self.wal_enabled = (
-            config.DEFAULT_WAL_ENABLED if wal_enabled is None else wal_enabled
-        )
         self.compaction = compaction_policy(compaction)
         self.fault_hook = fault_hook
         #: shard index this store plays in a sharded store (0 standalone);
@@ -301,11 +353,7 @@ class MRBGStore:
         self._crashed = False
         # Lazily-created journal: the file appears on the first flushed
         # append, so read-only opens of legacy directories stay pristine.
-        self._wal: Optional[WriteAheadLog] = (
-            WriteAheadLog(os.path.join(directory, WAL_FILE))
-            if self.wal_enabled
-            else None
-        )
+        self._wal = WriteAheadLog(os.path.join(directory, WAL_FILE))
 
         self._index: Dict[Any, ChunkLocation] = {}
         self._num_batches = 0
@@ -344,7 +392,6 @@ class MRBGStore:
         directory: str,
         policy: Optional[WindowPolicy] = None,
         cost_model: Optional[CostModel] = None,
-        wal_enabled: Optional[bool] = None,
         compaction: CompactionSpec = None,
         fault_hook: Optional[FaultHook] = None,
         shard_id: int = 0,
@@ -358,7 +405,7 @@ class MRBGStore:
         ``mrbg.idx`` read is charged to the store metrics and the cost
         model like any other store I/O, so Table 4 accounting is complete.
 
-        When a write-ahead log is present it is then replayed
+        The write-ahead log, if one exists, is then replayed
         (:meth:`_recover`): operations that committed after the last
         index flush are rolled forward, interrupted ones are rolled back,
         and torn journal/data tails are truncated — so a store killed at
@@ -368,7 +415,6 @@ class MRBGStore:
             directory,
             policy=policy,
             cost_model=cost_model,
-            wal_enabled=wal_enabled,
             compaction=compaction,
             fault_hook=fault_hook,
             shard_id=shard_id,
@@ -398,8 +444,6 @@ class MRBGStore:
         touching disk.  Replay I/O is charged to the dedicated ``wal_*``
         metrics, never to the paper's read/write counters.
         """
-        if self._wal is None:
-            return
         replay = WriteAheadLog.replay_file(self._wal.path)
         if replay is None:
             return
@@ -488,35 +532,41 @@ class MRBGStore:
         """
         if self._crashed:
             return 0
+        nbytes = run_shard_index_flush(self.begin_index_flush())
+        self.commit_index_flush(nbytes)
+        return nbytes
+
+    def begin_index_flush(self) -> ShardIndexFlushTask:
+        """First half of :meth:`save_index`: flush the journal, snapshot the index.
+
+        The returned task (run by :func:`run_shard_index_flush`, here or
+        on an execution backend) writes ``mrbg.idx``; pass its byte count
+        to :meth:`commit_index_flush`.
+        """
         self._check_open()
         self._wal_flush()
-        raw = encode_index(self._index, self._num_batches)
-        pre_replace = None
-        pre_dir_sync = None
-        if self.fault_hook is not None:
-            def pre_replace() -> None:
-                directive = self.fault_hook("pre-index-swap", self.shard_id, len(raw))
-                if directive is not None:
-                    self._crash("pre-index-swap", directive)
-
-            def pre_dir_sync() -> None:
-                # The rename happened but its directory entry is not yet
-                # durable — the window the directory fsync closes.
-                directive = self.fault_hook("pre-dir-fsync", self.shard_id, len(raw))
-                if directive is not None:
-                    self._crash("pre-dir-fsync", directive)
-
-        atomic_write(
-            os.path.join(self.directory, _INDEX_FILE),
-            raw,
-            pre_replace=pre_replace,
-            pre_dir_sync=pre_dir_sync,
+        return ShardIndexFlushTask(
+            index_path=os.path.join(self.directory, _INDEX_FILE),
+            entries=[
+                (key, loc.offset, loc.length, loc.batch)
+                for key, loc in self._index.items()
+            ],
+            num_batches=self._num_batches,
+            crash_site=self._task_crash_site(),
         )
+
+    def commit_index_flush(self, nbytes: int) -> float:
+        """Second half of :meth:`save_index`, once ``mrbg.idx`` is durable.
+
+        Charges the write and resets the journal to a checkpoint; returns
+        the simulated write time.
+        """
+        write_s = self.cost_model.store_write_time(nbytes)
         self.metrics.io_writes += 1
-        self.metrics.bytes_written += len(raw)
-        self.metrics.write_time_s += self.cost_model.store_write_time(len(raw))
+        self.metrics.bytes_written += nbytes
+        self.metrics.write_time_s += write_s
         self._wal_reset()
-        return len(raw)
+        return write_s
 
     def close(self) -> None:
         """Flush any open session, release the file handle, drop resident columns."""
@@ -524,9 +574,8 @@ class MRBGStore:
             return
         if self._in_session:
             self.end_merge()
-        if self._wal is not None:
-            self._wal_flush()
-            self._wal.close()
+        self._wal_flush()
+        self._wal.close()
         self._fh.close()
         self._drop_resident()
         self._closed = True
@@ -543,8 +592,7 @@ class MRBGStore:
         if self._closed:
             return
         self._crashed = True
-        if self._wal is not None:
-            self._wal.abandon()
+        self._wal.abandon()
         self._fh.close()
         self._drop_resident()
         self._closed = True
@@ -563,12 +611,21 @@ class MRBGStore:
         :meth:`open` recovers the directory.
         """
         self._crashed = True
-        if self._wal is not None:
-            self._wal.abandon()
+        self._wal.abandon()
         self._fh.close()
         self._drop_resident()
         self._closed = True
         raise InjectedCrash(point, self.shard_id, directive.occurrence)
+
+    def _crash_site(self, point: str, nbytes: int) -> None:
+        """Consult the fault hook at a durability site; crash if it fires."""
+        directive = self.fault_hook(point, self.shard_id, nbytes)
+        if directive is not None:
+            self._crash(point, directive)
+
+    def _task_crash_site(self) -> Optional[CrashSite]:
+        """The crash site a maintenance task carries (``None`` without a hook)."""
+        return None if self.fault_hook is None else self._crash_site
 
     def _check_open(self) -> None:
         if self._closed:
@@ -592,8 +649,6 @@ class MRBGStore:
         of this one — the torn tail replay must survive — and kills the
         store.
         """
-        if self._wal is None:
-            return
         nbytes = self._wal.append(op, *fields)
         if self.fault_hook is not None:
             directive = self.fault_hook("wal-append", self.shard_id, nbytes)
@@ -604,8 +659,6 @@ class MRBGStore:
 
     def _wal_flush(self) -> None:
         """Push staged journal records to the OS, charging ``wal_*`` time."""
-        if self._wal is None:
-            return
         flushed = self._wal.flush()
         if flushed:
             self.metrics.wal_bytes_written += flushed
@@ -613,8 +666,6 @@ class MRBGStore:
 
     def _wal_reset(self) -> None:
         """Truncate the journal to a checkpoint of the persisted state."""
-        if self._wal is None:
-            return
         nbytes = self._wal.reset(self._file_size, self._num_batches)
         self.metrics.wal_appends += 1
         self.metrics.wal_bytes_written += nbytes
@@ -906,62 +957,70 @@ class MRBGStore:
         full-file reconstruction the paper describes: one sequential scan
         of the old file plus one sequential write of the live bytes.
 
-        With the write-ahead log enabled the rewrite is crash-safe: a
-        compaction *intent* is journaled before the temp file is written
-        and the *commit* record — carrying the complete new placement
-        list — is flushed before the temp file replaces ``mrbg.dat``.
-        Recovery rolls an uncommitted rewrite back (deleting the temp)
-        and a committed one forward (finishing the swap).
+        The rewrite is crash-safe: a compaction *intent* is journaled
+        before the temp file is written and the *commit* record — carrying
+        the complete new placement list — is flushed before the temp file
+        replaces ``mrbg.dat``.  Recovery rolls an uncommitted rewrite back
+        (deleting the temp) and a committed one forward (finishing the
+        swap).  The two halves, :meth:`begin_compact` and
+        :meth:`commit_compact`, are the one protocol every compaction runs;
+        a sharded store runs the rewrites between them in parallel.
         """
         if self._crashed:
             return
+        keys, task = self.begin_compact()
+        self.commit_compact(keys, run_shard_compact(task))
+
+    def begin_compact(self) -> Tuple[List[Any], ShardCompactTask]:
+        """First half of :meth:`compact`: journal the intent, plan the rewrite.
+
+        Returns the live keys in K2 order and the rewrite task
+        (:func:`run_shard_compact`) whose result :meth:`commit_compact`
+        takes together with those keys.
+        """
         self._check_open()
         if self._in_session:
             raise StoreError("cannot compact during a merge session")
-        compact_read_s = self.cost_model.store_read_time(self._file_size)
-
         keys = self.keys()
-        locations = [self._index[key] for key in keys]
+        index = self._index
         self._wal_append(OP_COMPACT_BEGIN)
         self._wal_flush()
-        progress = None
+        task = ShardCompactTask(
+            data_path=self._data_path,
+            locations=[(index[key].offset, index[key].length) for key in keys],
+            append_buffer_size=self.append_buffer_size,
+            crash_site=self._task_crash_site(),
+        )
+        return keys, task
+
+    def commit_compact(self, keys: List[Any], result: ShardCompactResult) -> float:
+        """Second half of :meth:`compact`: journal the commit, swap, adopt.
+
+        The commit record (with the full new placement list) is durable
+        before the swap, so recovery can finish or undo it; the directory
+        fsync then makes the swap itself durable.  Returns the simulated
+        compaction time charged to ``metrics.compact_time_s``.
+        """
+        placements = [
+            (key, offset, length) for key, (offset, length) in zip(keys, result.locations)
+        ]
+        self._wal_append(OP_COMPACT_COMMIT, placements, result.file_size)
+        self._wal_flush()
         if self.fault_hook is not None:
-            def progress(written: int) -> None:
-                directive = self.fault_hook(
-                    "mid-compact-write", self.shard_id, written
-                )
-                if directive is not None:
-                    self._crash("mid-compact-write", directive)
+            self._crash_site("post-compact-pre-swap", result.file_size)
+        os.replace(self._data_path + ".compact", self._data_path)
+        fsync_directory(os.path.dirname(os.path.abspath(self._data_path)))
 
-        new_locations, out_offset = compact_data_file(
-            self._data_path,
-            locations,
-            self.append_buffer_size,
-            replace=self._wal is None,
-            progress=progress,
+        compact_s = self.cost_model.store_read_time(
+            self._file_size
+        ) + self.cost_model.store_write_time(result.file_size)
+        self._adopt_compacted(
+            {key: ChunkLocation(offset, length, 0) for key, offset, length in placements},
+            result.file_size,
         )
-        new_index = dict(zip(keys, new_locations))
-        if self._wal is not None:
-            self._wal_append(
-                OP_COMPACT_COMMIT,
-                [(key, loc.offset, loc.length) for key, loc in zip(keys, new_locations)],
-                out_offset,
-            )
-            self._wal_flush()
-            if self.fault_hook is not None:
-                directive = self.fault_hook(
-                    "post-compact-pre-swap", self.shard_id, out_offset
-                )
-                if directive is not None:
-                    self._crash("post-compact-pre-swap", directive)
-            os.replace(self._data_path + ".compact", self._data_path)
-            fsync_directory(os.path.dirname(os.path.abspath(self._data_path)))
-
-        self._adopt_compacted(new_index, out_offset)
         self.metrics.compactions += 1
-        self.metrics.compact_time_s += compact_read_s + self.cost_model.store_write_time(
-            out_offset
-        )
+        self.metrics.compact_time_s += compact_s
+        return compact_s
 
     def _adopt_compacted(self, new_index: Dict[Any, ChunkLocation], file_size: int) -> None:
         """Switch to a compacted ``mrbg.dat`` already swapped into place.

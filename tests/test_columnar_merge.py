@@ -349,14 +349,14 @@ def _store_bytes(directory: str) -> Dict[str, bytes]:
     return out
 
 
-def _run_single(directory: str, chunks, rounds, wal_enabled: bool = True):
+def _run_single(directory: str, chunks, rounds):
     """Build + merge every round on a fresh ``MRBGStore``.
 
     Returns everything observable: what each merge yielded (or the error
     that ended it), the bytes on disk before the final index flush (so
     the journal still holds every record), and the metrics.
     """
-    store = MRBGStore(directory, wal_enabled=wal_enabled, append_buffer_size=256)
+    store = MRBGStore(directory, append_buffer_size=256)
     observed: List[Any] = []
     try:
         store.build(sorted(chunks.items()))
@@ -420,9 +420,9 @@ def _attempt(fn) -> Any:
         return f"{type(exc).__name__}: {exc}"
 
 
-def _run_history(directory: str, chunks, ops, wal_enabled: bool):
+def _run_history(directory: str, chunks, ops):
     """Replay a :func:`store_history` on a fresh store; returns what it saw."""
-    store = MRBGStore(directory, wal_enabled=wal_enabled, append_buffer_size=256)
+    store = MRBGStore(directory, append_buffer_size=256)
     observed: List[Any] = []
 
     def read_all():
@@ -443,7 +443,7 @@ def _run_history(directory: str, chunks, ops, wal_enabled: bool):
                 store.save_index()
             elif op[0] == "reopen":
                 store.abandon()
-                store = MRBGStore.open(directory, wal_enabled=wal_enabled)
+                store = MRBGStore.open(directory)
                 store.append_buffer_size = 256
                 assert not store._resident
             else:
@@ -579,21 +579,19 @@ class TestColumnarEdges:
 
 
 class TestStoreDifferential:
-    @pytest.mark.parametrize("wal_enabled", [True, False], ids=["wal", "no-wal"])
     @given(scenario=store_scenario())
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture,
                                      HealthCheck.too_slow])
-    def test_same_chunk_bytes_wal_bytes_and_metrics(self, wal_enabled, scenario):
+    def test_same_chunk_bytes_wal_bytes_and_metrics(self, scenario):
         chunks, rounds = scenario
         with tempfile.TemporaryDirectory() as tmp:
             with merge_path(reference=True):
-                expected = _run_single(os.path.join(tmp, "ref"), chunks, rounds, wal_enabled)
-            actual = _run_single(os.path.join(tmp, "new"), chunks, rounds, wal_enabled)
+                expected = _run_single(os.path.join(tmp, "ref"), chunks, rounds)
+            actual = _run_single(os.path.join(tmp, "new"), chunks, rounds)
         for got, want in zip(actual, expected):
             assert got == want
-        if wal_enabled:
-            assert "mrbg.wal" in actual[1]
+        assert "mrbg.wal" in actual[1]
 
     def test_reference_path_really_is_the_list_path(self, tmp_path):
         store = MRBGStore(str(tmp_path / "s"))
@@ -627,18 +625,16 @@ class TestStoreDifferential:
 
 
 class TestResidentColumns:
-    @pytest.mark.parametrize("wal_enabled", [True, False], ids=["wal", "no-wal"])
     @given(history=store_history())
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture,
                                      HealthCheck.too_slow])
-    def test_resident_reads_equal_decoded_reads(self, wal_enabled, history):
+    def test_resident_reads_equal_decoded_reads(self, history):
         chunks, ops = history
         with tempfile.TemporaryDirectory() as tmp:
             with merge_path(reference=False, resident=False):
-                expected = _run_history(os.path.join(tmp, "decoded"), chunks, ops,
-                                        wal_enabled)
-            actual = _run_history(os.path.join(tmp, "resident"), chunks, ops, wal_enabled)
+                expected = _run_history(os.path.join(tmp, "decoded"), chunks, ops)
+            actual = _run_history(os.path.join(tmp, "resident"), chunks, ops)
         for got, want in zip(actual, expected):
             assert got == want
 
@@ -815,7 +811,7 @@ class TestCrashDuringPatchedPut:
     KEYS = list(range(6))
 
     def _seed(self, directory):
-        store = MRBGStore(directory, wal_enabled=True)
+        store = MRBGStore(directory)
         store.build([(k, [Edge(i, k + i / 8) for i in range(8)]) for k in self.KEYS])
         store.save_index()
         store.close()
@@ -825,7 +821,7 @@ class TestCrashDuringPatchedPut:
                 for k in self.KEYS]
 
     def _contents(self, directory):
-        store = MRBGStore.open(directory, wal_enabled=True)
+        store = MRBGStore.open(directory)
         try:
             return {k: list(store.get_chunk(k)) for k in store.keys()}, store.file_size
         finally:
@@ -841,7 +837,7 @@ class TestCrashDuringPatchedPut:
         shutil.copytree(pre_dir, crash_dir)
         pre = self._contents(pre_dir)
 
-        done = MRBGStore.open(post_dir, wal_enabled=True)
+        done = MRBGStore.open(post_dir)
         list(done.merge_delta(self._delta()))
         done.save_index()
         done.close()
@@ -849,7 +845,7 @@ class TestCrashDuringPatchedPut:
         assert post != pre
 
         crashing = MRBGStore.open(
-            crash_dir, wal_enabled=True,
+            crash_dir,
             fault_hook=_crash_on_wal_append(occurrence, byte_offset),
         )
         with pytest.raises(InjectedCrash):
@@ -859,7 +855,7 @@ class TestCrashDuringPatchedPut:
         # the session never committed: recovery rolls it back, and the
         # same delta then applies cleanly and lands on the post state
         assert self._contents(crash_dir) == pre
-        retry = MRBGStore.open(crash_dir, wal_enabled=True)
+        retry = MRBGStore.open(crash_dir)
         list(retry.merge_delta(self._delta()))
         retry.save_index()
         retry.close()
@@ -872,7 +868,7 @@ class TestCrashDuringPatchedPut:
         self._seed(pre_dir)
         shutil.copytree(pre_dir, post_dir)
         shutil.copytree(pre_dir, crash_dir)
-        done = MRBGStore.open(post_dir, wal_enabled=True)
+        done = MRBGStore.open(post_dir)
         list(done.merge_delta(self._delta()))
         done.close()  # no save_index: the journal alone carries the session
         post = self._contents(post_dir)
@@ -880,7 +876,7 @@ class TestCrashDuringPatchedPut:
         def hook(point, shard_id, nbytes):
             return CrashDirective() if point == "pre-index-swap" else None
 
-        crashing = MRBGStore.open(crash_dir, wal_enabled=True, fault_hook=hook)
+        crashing = MRBGStore.open(crash_dir, fault_hook=hook)
         list(crashing.merge_delta(self._delta()))
         with pytest.raises(InjectedCrash):
             crashing.save_index()
@@ -895,7 +891,7 @@ class TestCrashDuringPatchedPut:
             return None
 
         directory = str(tmp_path / "s")
-        store = MRBGStore(directory, wal_enabled=True, fault_hook=hook)
+        store = MRBGStore(directory, fault_hook=hook)
         store.build([(1, [Edge(i, float(i)) for i in range(8)])])
         list(store.merge_delta([(1, [DeltaEdge(3, 0.25, Op.INSERT)])]))
         store._wal_flush()

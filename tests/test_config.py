@@ -33,14 +33,14 @@ def reload_with(monkeypatch):
     [
         ("1", True), ("true", True), (" YES ", True), ("On", True),
         ("0", False), ("false", False), ("No", False), (" off", False),
-        ("", True), ("  ", True),  # blank keeps the default (WAL on)
+        ("", False), ("  ", False),  # blank keeps the default (speculation off)
     ],
 )
 def test_flag_words(reload_with, value, expected):
-    assert reload_with("REPRO_WAL", value).DEFAULT_WAL_ENABLED is expected
+    assert reload_with("REPRO_SPECULATION", value).DEFAULT_SPECULATION is expected
 
 
-@pytest.mark.parametrize("name", ["REPRO_WAL", "REPRO_WORKSET", "REPRO_SPECULATION"])
+@pytest.mark.parametrize("name", ["REPRO_WORKSET", "REPRO_SPECULATION"])
 @pytest.mark.parametrize("value", ["disabled", "disable", "nope", "2", "y"])
 def test_unknown_flag_word_raises(reload_with, name, value):
     with pytest.raises(InvalidEnvVar) as excinfo:

@@ -73,16 +73,13 @@ NUM_SHARDS = 4
 
 
 def new_store(directory, kind, policy="full", fault_hook=None):
-    """A fresh store of the requested kind (WAL on, serial backend)."""
+    """A fresh store of the requested kind (serial backend)."""
     if kind == "single":
-        return MRBGStore(
-            str(directory), wal_enabled=True, compaction=policy, fault_hook=fault_hook
-        )
+        return MRBGStore(str(directory), compaction=policy, fault_hook=fault_hook)
     return ShardedMRBGStore(
         str(directory),
         num_shards=NUM_SHARDS,
         executor="serial",
-        wal_enabled=True,
         compaction=policy,
         fault_hook=fault_hook,
     )
@@ -91,13 +88,10 @@ def new_store(directory, kind, policy="full", fault_hook=None):
 def reopen_store(directory, kind, policy="full", fault_hook=None):
     """Reopen a persisted store directory (recovery runs here)."""
     if kind == "single":
-        return MRBGStore.open(
-            str(directory), wal_enabled=True, compaction=policy, fault_hook=fault_hook
-        )
+        return MRBGStore.open(str(directory), compaction=policy, fault_hook=fault_hook)
     return ShardedMRBGStore.open(
         str(directory),
         executor="serial",
-        wal_enabled=True,
         compaction=policy,
         fault_hook=fault_hook,
     )
@@ -188,10 +182,10 @@ def scenario_compact(store):
 
 #: crash point -> (scenario, expected state of the crashed shard,
 #: expected state of every *other* shard).  "pre"/"post" name the golden
-#: states around the interrupted operation; the serial maintenance paths
-#: stop at the crashed shard, so siblings land on "pre" except for the
-#: merge commit path, where every shard's session committed before the
-#: index swap crashed.
+#: states around the interrupted operation; a maintenance round under a
+#: crash hook stops at the crashed shard before any sibling commits, so
+#: siblings land on "pre" except for the merge commit path, where every
+#: shard's session committed before the index swap crashed.
 CRASH_SCENARIOS = {
     "wal-append": (scenario_merge, "pre", "pre"),
     "pre-index-swap": (scenario_merge, "post", "post"),
@@ -425,12 +419,12 @@ class TestRandomInterleavings:
                 # fully-flushed one rolls forward.)
                 expected = [mirrors[crashed_during], mirrors[crashed_during + 1]]
 
-            recovered = MRBGStore.open(os.path.join(root, "s"), wal_enabled=True)
+            recovered = MRBGStore.open(os.path.join(root, "s"))
             assert _logical_state(recovered) in expected
             recovered.save_index()
             recovered.close()
 
-            again = MRBGStore.open(os.path.join(root, "s"), wal_enabled=True)
+            again = MRBGStore.open(os.path.join(root, "s"))
             assert again.metrics.recoveries == 0  # recovery converged
             assert _logical_state(again) in expected
             again.close()
@@ -738,16 +732,6 @@ class TestConfigPlumbing:
                       crash_point="wal-append")
         with pytest.raises(ValueError):
             CrashPoint(point="not-a-site")
-
-    def test_wal_disabled_writes_no_journal(self, tmp_path):
-        store = MRBGStore(str(tmp_path / "s"), wal_enabled=False)
-        store.build(seed_chunks(range(4)))
-        store.save_index()
-        store.close()
-        assert not os.path.exists(tmp_path / "s" / "mrbg.wal")
-        reopened = MRBGStore.open(str(tmp_path / "s"), wal_enabled=False)
-        assert reopened.keys() == list(range(4))
-        reopened.close()
 
     def test_default_shard_count_is_pinned(self):
         # The durability matrix assumes engine states default to single

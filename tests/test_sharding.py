@@ -16,6 +16,8 @@ from repro.incremental.api import delta_to_dfs_records
 from repro.incremental.engine import IncrMREngine
 from repro.incremental.state import PreservedJobState
 from repro.mapreduce.job import JobConf
+from repro.mrbgraph import sharding as sharding_module
+from repro.mrbgraph import store as store_module
 from repro.mrbgraph.graph import DeltaEdge, Edge
 from repro.mrbgraph.sharding import (
     HashShardRouter,
@@ -339,18 +341,47 @@ class TestSingleShardDegenerate:
                 plain_bytes = fh.read()
             assert shard_bytes == plain_bytes, name
 
-        # Compaction keeps the equivalence.
+        # Compaction and the index flush after it keep the equivalence,
+        # journal included: both stores run the one protocol.
         sharded.compact()
         plain.compact()
-        with open(os.path.join(shard_dir, "mrbg.dat"), "rb") as fh:
-            shard_dat = fh.read()
-        with open(os.path.join(plain.directory, "mrbg.dat"), "rb") as fh:
-            plain_dat = fh.read()
-        assert shard_dat == plain_dat
+        sharded.save_index()
+        plain.save_index()
+        for name in ("mrbg.dat", "mrbg.idx", "mrbg.wal"):
+            with open(os.path.join(shard_dir, name), "rb") as fh:
+                shard_bytes = fh.read()
+            with open(os.path.join(plain.directory, name), "rb") as fh:
+                plain_bytes = fh.read()
+            assert shard_bytes == plain_bytes, name
         assert sharded.file_size == plain.file_size
         assert sharded.live_bytes() == plain.live_bytes()
         sharded.close()
         plain.close()
+
+
+class TestCompactionDurability:
+    def test_each_shard_directory_is_fsynced_after_its_swap(self, tmp_path, monkeypatch):
+        """A compaction's swap is durable: every shard fsyncs its directory."""
+        synced = []
+
+        def record(directory):
+            data = os.path.join(directory, "mrbg.dat")
+            swapped = not os.path.exists(data + ".compact")
+            synced.append((os.path.abspath(directory), swapped, os.path.getsize(data)))
+
+        for module in (store_module, sharding_module):
+            monkeypatch.setattr(module, "fsync_directory", record, raising=False)
+        store = make_sharded(tmp_path, num_shards=4)
+        store.build(build_chunks(40))
+        list(store.merge_delta(
+            sorted((k, [DeltaEdge(0, -1.0, Op.INSERT)]) for k in range(0, 40, 3))
+        ))
+        store.compact()
+        assert sorted(synced) == sorted(
+            (os.path.abspath(shard.directory), True, shard.file_size)
+            for shard in store.shards
+        )
+        store.close()
 
 
 class TestPersistence:
