@@ -43,7 +43,7 @@ from repro.mapreduce.engine import MapReduceEngine
 from repro.mapreduce.job import JobConf
 from repro.mrbgraph.graph import DeltaEdge, Edge
 from repro.mrbgraph.sharding import HashShardRouter, ShardedMRBGStore
-from repro.mrbgraph.store import MRBGStore
+from repro.mrbgraph.store import MRBGStore, decode_index, encode_index_entries
 from repro.mrbgraph.wal import (
     OP_BEGIN,
     OP_CHECKPOINT,
@@ -59,6 +59,7 @@ from repro.mrbgraph.wal import (
     encode_wal_record,
     fsync_directory,
 )
+from repro.mrbgraph.windows import ChunkLocation
 
 from tests.conftest import fresh_cluster
 
@@ -534,6 +535,42 @@ GOLDEN_RECORD_ARGS = {
 }
 
 
+def golden_rows(keys, width):
+    """Deterministic ``(key, offset, length[, batch])`` rows for the row goldens.
+
+    Offsets are contiguous, lengths vary and, at ``width`` 4, batches
+    cycle through 0..2 — the shapes compaction commits and ``mrbg.idx``
+    carry.
+    """
+    rows, offset = [], 0
+    for i, key in enumerate(keys):
+        length = 23 + (i * 37) % 211
+        rows.append((key, offset, length, i % 3)[:width])
+        offset += length
+    return rows
+
+
+#: 80 int keys: both i64 edges, -1, 0, then a spread of negatives and positives.
+GOLDEN_INT_KEYS = [-(1 << 63), (1 << 63) - 1, -1, 0] + [
+    k * 7919 - 300_000 for k in range(76)
+]
+
+#: name -> (rows, num_batches) each pinned ``encode_index_entries`` stream encodes.
+GOLDEN_INDEX_ARGS = {
+    "int-keys": (golden_rows(GOLDEN_INT_KEYS, 4), 3),
+    "str-keys": (golden_rows([f"key-{i:03d}" for i in range(70)], 4), 3),
+}
+
+#: name -> the (op, *fields) of each pinned fixed-width-row WAL record.
+GOLDEN_ROW_RECORD_ARGS = {
+    "compact-commit-int-rows": (
+        OP_COMPACT_COMMIT,
+        golden_rows(GOLDEN_INT_KEYS, 3),
+        sum(length for _, _, length in golden_rows(GOLDEN_INT_KEYS, 3)),
+    ),
+}
+
+
 class TestGoldenFormats:
     """The WAL record framing and manifest layout are pinned byte-for-byte."""
 
@@ -621,6 +658,34 @@ class TestGoldenFormats:
         store.close()
         with open(tmp_path / "s" / "mrbg.shards", "rb") as fh:
             assert fh.read().hex() == spec["hex"]
+
+    def test_row_records_match_golden(self, golden, tmp_path):
+        records = golden["row_tables"]["records"]
+        assert {r["name"] for r in records} == set(GOLDEN_ROW_RECORD_ARGS)
+        wal = WriteAheadLog(str(tmp_path / "mrbg.wal"))
+        for rec in records:
+            op, *fields = GOLDEN_ROW_RECORD_ARGS[rec["name"]]
+            raw = bytes.fromhex(rec["hex"])
+            assert encode_wal_record(op, *fields) == raw, rec["name"]
+            assert wal.append(op, *fields) == len(raw)
+            assert decode_wal_record(raw) == ((op, *fields), len(raw))
+        wal.close()
+        with open(tmp_path / "mrbg.wal", "rb") as fh:
+            assert fh.read() == b"".join(bytes.fromhex(r["hex"]) for r in records)
+
+    def test_index_streams_match_golden(self, golden):
+        streams = golden["row_tables"]["index"]
+        assert {s["name"] for s in streams} == set(GOLDEN_INDEX_ARGS)
+        for stream in streams:
+            rows, num_batches = GOLDEN_INDEX_ARGS[stream["name"]]
+            raw = bytes.fromhex(stream["hex"])
+            assert encode_index_entries(rows, num_batches) == raw, stream["name"]
+            index, batches = decode_index(raw)
+            assert batches == num_batches
+            assert index == {
+                key: ChunkLocation(offset, length, batch)
+                for key, offset, length, batch in rows
+            }
 
 
 _codec_keys = st.recursive(
