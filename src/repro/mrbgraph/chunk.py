@@ -13,12 +13,12 @@ stride per edge::
 
     07 | 02 00 00 00 | 03 | <MK i64> | 04-or-03 | <V2 f64-or-i64>
 
-which lets the encoder emit the whole run with one batched ``struct``
-pack plus strided byte interleaving, and lets the decoder verify the
-constant bytes with six strided ``memoryview`` comparisons and unpack
-every edge in a single ``struct`` call.  Heterogeneous chunks fall back
-to the generic recursive codec; both paths produce and accept byte-
-identical encodings.
+— the two-column case of the codec's fixed-width rows, so the edge run
+is written by :func:`repro.common.serialization.pack_rows` and read back
+by :func:`repro.common.serialization.unpack_rows`, each one batched
+``struct`` call plus strided byte copies or comparisons.  Heterogeneous
+chunks fall back to the generic recursive codec; both paths produce and
+accept byte-identical encodings.
 
 In memory a chunk is a :class:`ColumnarEdges`: an MK column and a value
 column, never one object per edge.  A chunk decoded from the flat shape
@@ -48,7 +48,8 @@ from repro.common.errors import SerializationError
 from repro.common.serialization import (
     _F64,
     _I64,
-    _TAG_FLOAT,
+    _ROW_MIN,
+    _ROW_TAGS,
     _TAG_INT,
     _TAG_LIST,
     _TAG_TUPLE,
@@ -58,40 +59,23 @@ from repro.common.serialization import (
     decode_record,
     encode_into,
     encoded_size,
+    pack_rows,
+    unpack_rows,
 )
 
 #: Encoded bytes of one flat ``(int, int|float)`` edge: tuple header (5),
 #: tagged i64 MK (9), tagged i64/f64 value (9).
 _FLAT_EDGE_BYTES = 23
 
-#: Fixed header of one flat edge — tuple tag + u32 count 2 + int tag — as
-#: ``(offset in the edge, that byte)`` pairs.
-_EDGE_HEADER = [
-    (rel, bytes([byte])) for rel, byte in enumerate((_TAG_TUPLE, 2, 0, 0, 0, _TAG_INT))
-]
-
 #: Offset of a flat edge's 8 value bytes (its value tag sits just before).
 _FLAT_VALUE_OFFSET = 15
 
-#: Minimum edge count before the batched path beats the generic encoder.
-_FLAT_RUN_MIN = 4
+#: Row tags of a flat edge by exact value type, and value type by value tag.
+_EDGE_TAGS = {value_type: bytes([_TAG_INT, tag]) for value_type, tag in _ROW_TAGS.items()}
+_EDGE_VALUE_TYPES = {tag: value_type for value_type, tag in _ROW_TAGS.items()}
 
-
-class _FlatValues(NamedTuple):
-    """How the flat shape stores values of one exact Python type."""
-
-    tag_byte: bytes
-    column_format: str  # ``struct`` format of n packed values, given n
-    edge_format: str  # ``struct`` format reading one edge's MK and value
-    one: struct.Struct  # packs a single value
-
-
-#: The two value types a flat chunk can hold, by exact type and by tag.
-_FLAT_VALUES = {
-    float: _FlatValues(bytes([_TAG_FLOAT]), "<%dd", "6xq1xd", _F64),
-    int: _FlatValues(bytes([_TAG_INT]), "<%dq", "6xq1xq", _I64),
-}
-_FLAT_VALUE_TYPES = {_TAG_FLOAT: float, _TAG_INT: int}
+#: Packs one value of each flat value type over its 8 bytes in an edge.
+_VALUE_PACKERS = {float: _F64, int: _I64}
 
 
 class Edge(NamedTuple):
@@ -172,7 +156,7 @@ class ColumnarEdges(Sequence):
         """
         buf = bytearray(self.raw)
         base = len(buf) - _FLAT_EDGE_BYTES * len(self.mks) + _FLAT_VALUE_OFFSET
-        pack_into = _FLAT_VALUES[self.value_type].one.pack_into
+        pack_into = _VALUE_PACKERS[self.value_type].pack_into
         values = list(self.values)
         try:
             for position, value in updates.items():
@@ -191,29 +175,7 @@ def _flat_value_type(mks, values) -> Optional[type]:
     if len(value_types) != 1:
         return None
     value_type = value_types.pop()
-    return value_type if value_type in _FLAT_VALUES else None
-
-
-def _append_flat_edges(out: bytearray, mks, values, value_type: type) -> None:
-    """Batch-encode a run of flat edges at 23 bytes each onto ``out``.
-
-    Raises ``struct.error`` — before touching ``out`` — when an int does
-    not fit 64 bits.
-    """
-    n = len(mks)
-    flat = _FLAT_VALUES[value_type]
-    packed_mk = struct.pack("<%dq" % n, *mks)
-    packed_v = struct.pack(flat.column_format % n, *values)
-    start = len(out)
-    out += bytes(_FLAT_EDGE_BYTES * n)
-    out[start::23] = bytes([_TAG_TUPLE]) * n
-    out[start + 1 :: 23] = b"\x02" * n  # u32 little-endian count 2; bytes 2-4 stay 0
-    out[start + 5 :: 23] = bytes([_TAG_INT]) * n
-    for i in range(8):
-        out[start + 6 + i :: 23] = packed_mk[i::8]
-    out[start + 14 :: 23] = flat.tag_byte * n
-    for i in range(8):
-        out[start + 15 + i :: 23] = packed_v[i::8]
+    return value_type if value_type in _EDGE_TAGS else None
 
 
 def _finish_record(out: bytearray) -> bytes:
@@ -253,14 +215,17 @@ def encode_chunk(k2: Any, entries: Sequence) -> bytes:
         pairs = zip(mks, values)
     else:
         pairs = map(tuple, entries)
-        if count >= _FLAT_RUN_MIN:
+        if count >= _ROW_MIN:
             mks, values = zip(*entries)
-    if count >= _FLAT_RUN_MIN:
+    if count >= _ROW_MIN:
         if value_type is None:
             value_type = _flat_value_type(mks, values)
         if value_type is not None:
+            cells = [None] * (2 * count)
+            cells[0::2] = mks
+            cells[1::2] = values
             try:
-                _append_flat_edges(out, mks, values, value_type)
+                pack_rows(out, cells, _EDGE_TAGS[value_type])
                 return _finish_record(out)
             except struct.error:
                 pass  # an int overflowed i64: the generic path reports it
@@ -292,29 +257,6 @@ def decoded_columns(entries: Sequence, raw: bytes) -> Optional[ColumnarEdges]:
     return ColumnarEdges(entries.mks, entries.values, raw, entries.value_type)
 
 
-def _decode_flat_edges(
-    mv: memoryview, offset: int, start: int, count: int
-) -> Optional[ColumnarEdges]:
-    """Batch-decode ``count`` 23-byte-stride edges, or None on mismatch.
-
-    ``offset`` is where the chunk's record starts and ``start`` where its
-    edge run does; the run ends the record.
-    """
-    end = start + _FLAT_EDGE_BYTES * count
-    # Verify every constant byte position with strided view comparisons.
-    for rel, byte in _EDGE_HEADER:
-        if mv[start + rel : end : 23] != byte * count:
-            return None
-    value_type = _FLAT_VALUE_TYPES.get(mv[start + 14])
-    if value_type is None:
-        return None
-    flat = _FLAT_VALUES[value_type]
-    if mv[start + 14 : end : 23] != flat.tag_byte * count:
-        return None
-    columns = struct.unpack("<" + flat.edge_format * count, mv[start:end])
-    return ColumnarEdges(columns[0::2], columns[1::2], bytes(mv[offset:end]), value_type)
-
-
 def decode_chunk(buf, offset: int = 0) -> Tuple[Any, ColumnarEdges, int]:
     """Decode one chunk from ``buf`` at ``offset``.
 
@@ -344,9 +286,12 @@ def decode_chunk(buf, offset: int = 0) -> Tuple[Any, ColumnarEdges, int]:
             (count,) = _U32.unpack_from(mv, pos + 1)
             payload_start = pos + 5
             if count and end - payload_start == _FLAT_EDGE_BYTES * count:
-                entries = _decode_flat_edges(mv, offset, payload_start, count)
-                if entries is not None:
-                    return k2, entries, end
+                value_type = _EDGE_VALUE_TYPES.get(mv[payload_start + 14])
+                if value_type is not None:
+                    _, cells = unpack_rows(mv, payload_start, count, _EDGE_TAGS[value_type])
+                    if len(cells) == 2 * count:
+                        raw = bytes(mv[offset:end])
+                        return k2, ColumnarEdges(cells[0::2], cells[1::2], raw, value_type), end
     return _decode_chunk_generic(mv, offset)
 
 

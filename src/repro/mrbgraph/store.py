@@ -98,10 +98,12 @@ def encode_index_entries(
     The plain-data form of :func:`encode_index`: shard index flushes ship
     these rows across thread/process boundaries (a live index holds
     unpicklable slotted locations) and still produce byte-identical
-    ``mrbg.idx`` files.
+    ``mrbg.idx`` files.  The rows must be tuples; int-keyed ones encode
+    as one run of fixed-width rows
+    (:func:`repro.common.serialization.pack_rows`).
     """
     header = {"num_batches": num_batches, "count": len(entries)}
-    return encode_many([header] + [tuple(entry) for entry in entries])
+    return encode(header) + encode_many(entries)
 
 
 def decode_index(raw: bytes) -> Tuple[Dict[Any, ChunkLocation], int]:
