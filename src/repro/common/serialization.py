@@ -45,21 +45,22 @@ codec:
 ``int`` that fits 64 bits or an exact ``float``.  A run of rows that
 share one arity and one column type per position encodes to a fixed
 stride of ``5 + 9 × arity`` bytes — ``07 | u32 arity | (tag, 8 bytes)*``
-— which is what the MRBG-Store's int-keyed tables are: ``(key, offset, length,
-batch)`` index entries, ``(key, offset, length)`` compaction placements
-and ``(mk, value)`` chunk edges.  :func:`pack_rows` writes such a run
-with one ``struct`` pack whose pad bytes leave the constant bytes zero,
-then fills the tuple tag, arity and column tags with strided slice
-assignments; :func:`unpack_rows` checks the constant bytes with strided
-comparisons and reads every cell with one ``struct`` unpack that skips
-them as pad bytes.  Inside a list or tuple (:func:`encode` /
-:func:`decode`) and across a stream (:func:`encode_many` /
-:func:`decode_many`) the codec takes this path for a run of at least
-``_ROW_MIN`` rows; anything else — ``bool`` cells, ``int`` subclasses,
-ints beyond 64 bits, ragged or nested rows, a byte that does not match —
-takes the per-value path.  The row path is only a faster way to produce
-and read the same bytes: the wire format is unchanged, and so are the
-values decoded and the errors raised.
+— which is what the MRBG-Store's int-keyed tables are: ``(key, offset,
+length, batch)`` index entries, ``(key, offset, length)`` compaction
+placements and ``(mk, value)`` chunk edges.  :func:`pack_rows` writes
+such a run with one ``struct`` pack whose pad bytes leave the constant
+bytes zero, then fills the tuple tag, arity and column tags with
+strided slice assignments; :func:`unpack_rows` checks the constant
+bytes with strided comparisons and reads every cell with one ``struct``
+unpack that skips them as pad bytes.  Inside a list or tuple
+(:func:`encode` / :func:`decode`) and across a stream
+(:func:`encode_many` / :func:`decode_many`) the encoder takes this path
+for a run of at least ``_ROW_MIN`` rows, and the decoder once it has
+read one row with more values to follow; anything else — ``bool``
+cells, ``int`` subclasses, ints beyond 64 bits, ragged or nested rows,
+a byte that does not match — takes the per-value path.  The row path is
+only a faster way to produce and read the same bytes: the wire format
+is unchanged, and so are the values decoded and the errors raised.
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ _RUN_MIN = 4
 #: row encoding (2 edges: 1.0×, 3 edges: 0.8×).
 _ROW_MIN = 4
 
-#: Rows :func:`unpack_rows` checks in its first window; each next one is 4x.
+#: Rows :func:`unpack_rows` checks in its first window; each later one is 4× larger.
 _ROW_WINDOW = 64
 
 #: Tag of each exact row-cell type, and the ``struct`` code of each tag.
@@ -210,7 +211,7 @@ def _row_layout(tags: bytes, header: bool = True) -> Optional[_RowLayout]:
     constants += [
         (len(prefix) + 9 * column, tags[column : column + 1]) for column in range(len(tags))
     ]
-    row_format = "%dx" % len(prefix) + "".join("x" + _ROW_CODES[tag] for tag in tags)
+    row_format = ("5x" if header else "") + "".join("x" + _ROW_CODES[tag] for tag in tags)
     return _RowLayout(len(prefix) + 9 * len(tags), tuple(constants), row_format)
 
 
@@ -496,9 +497,9 @@ def unpack_rows(
     ``tags`` are the column tags the rows must have; by default the
     first row's.  The run goes on while the next row's constant bytes —
     tuple tag, arity, column tags — are the expected ones.  They are
-    checked with one strided slice comparison per position over windows
-    of rows that start at ``_ROW_WINDOW`` and grow fourfold, so finding a run
-    costs time in proportion to its length, not to ``limit``.  One
+    checked with one strided slice comparison per position, over windows
+    of rows that start at ``_ROW_WINDOW`` and grow fourfold, so finding
+    a run costs time in proportion to its length, not to ``limit``.  One
     ``struct`` unpack, with a pad byte at each constant, then reads
     every cell.
 
@@ -510,7 +511,7 @@ def unpack_rows(
     """
     end = len(mv)
     if tags is None:
-        if offset + 5 > end:
+        if offset + 5 > end or mv[offset] != _TAG_TUPLE:
             return b"", ()
         width = _U32.unpack_from(mv, offset + 1)[0]
         tags = bytes(mv[offset + 5 : offset + 5 + 9 * width : 9])
