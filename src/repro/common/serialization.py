@@ -518,16 +518,18 @@ def unpack_rows(
     layout = _row_layout(tags)
     if layout is None:
         return b"", ()
-    stride = layout.stride
-    limit = min(limit, (end - offset) // stride)
+    stride, constants, row_format = layout
+    if limit > (end - offset) // stride:
+        limit = (end - offset) // stride
     count = 0
     window = _ROW_WINDOW
     while count < limit:
-        window = min(window, limit - count)
+        if window > limit - count:
+            window = limit - count
         base = offset + count * stride
         rows = mv[base : base + window * stride].tobytes()
         matched = window
-        for pos, byte in layout.constants:
+        for pos, byte in constants:
             column = rows[pos::stride]
             if column != byte * window:
                 matched = min(matched, window - len(column.lstrip(byte)))
@@ -537,7 +539,7 @@ def unpack_rows(
         window *= 4
     if not count:
         return b"", ()
-    return tags, struct.unpack_from("<" + layout.row_format * count, mv, offset)
+    return tags, struct.unpack_from("<" + row_format * count, mv, offset)
 
 
 def _decode_rows(mv: memoryview, offset: int, limit: int) -> Tuple[list, int]:
