@@ -515,6 +515,8 @@ def unpack_rows(
             return b"", ()
         width = _U32.unpack_from(mv, offset + 1)[0]
         tags = bytes(mv[offset + 5 : offset + 5 + 9 * width : 9])
+        if len(tags) != width:  # the row would run past the buffer
+            return b"", ()
     layout = _row_layout(tags)
     if layout is None:
         return b"", ()
