@@ -62,8 +62,8 @@ def sharded_tour() -> None:
 
     m = store.metrics
     print(
-        f"sharded store ({store.num_shards} shards, router "
-        f"{store.router.kind!r}): {len(store)} chunks, "
+        f"sharded store ({store.num_shards} hash-routed shards): "
+        f"{len(store)} chunks, "
         f"file {store.file_size} bytes, merged metrics: "
         f"{m.io_reads} reads / {m.io_writes} writes"
     )

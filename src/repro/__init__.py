@@ -88,13 +88,7 @@ from repro.mapreduce import (
     MapReduceEngine,
     Reducer,
 )
-from repro.mrbgraph import (
-    HashShardRouter,
-    MRBGStore,
-    RangeShardRouter,
-    ShardedMRBGStore,
-    ShardRouter,
-)
+from repro.mrbgraph import HashShardRouter, MRBGStore, ShardedMRBGStore
 from repro.serving import (
     EpochManager,
     EpochSnapshot,
@@ -164,8 +158,6 @@ __all__ = [
     "Reducer",
     "MRBGStore",
     "HashShardRouter",
-    "RangeShardRouter",
-    "ShardRouter",
     "ShardedMRBGStore",
     "EpochManager",
     "EpochSnapshot",

@@ -82,14 +82,12 @@ DEFAULT_GAP_THRESHOLD = 100 * KB
 DEFAULT_READ_CACHE_SIZE = 4 * MB
 
 #: MRBG-Store append buffer capacity (bytes) before a sequential flush.
-#: Overridable via the ``REPRO_APPEND_BUFFER_SIZE`` environment variable.
-DEFAULT_APPEND_BUFFER_SIZE = _env_int("REPRO_APPEND_BUFFER_SIZE", 1 * MB)
+DEFAULT_APPEND_BUFFER_SIZE = 1 * MB
 
 #: How many upcoming queried chunks of the same batch the MRBG-Store
 #: hands the window policy to plan a prefetching read (Algorithm 1's
-#: look-ahead over "k's index in L").  Overridable via the
-#: ``REPRO_PREFETCH_LOOKAHEAD`` environment variable.
-DEFAULT_PREFETCH_LOOKAHEAD = _env_int("REPRO_PREFETCH_LOOKAHEAD", 256)
+#: look-ahead over "k's index in L").
+DEFAULT_PREFETCH_LOOKAHEAD = 256
 
 #: Number of shards each MRBG-Store is split into.  ``1`` keeps the
 #: paper's monolithic per-Reduce-task store; larger values split every
@@ -98,12 +96,6 @@ DEFAULT_PREFETCH_LOOKAHEAD = _env_int("REPRO_PREFETCH_LOOKAHEAD", 256)
 #: parallel on the host execution backends.  Overridable via the
 #: ``REPRO_SHARDS`` environment variable.
 DEFAULT_NUM_SHARDS = _env_int("REPRO_SHARDS", 1)
-
-#: Default MRBG-Store compaction policy (``"full"`` / ``"size-tiered"`` /
-#: ``"leveled"``; see :mod:`repro.mrbgraph.compaction`).  Overridable via
-#: the ``REPRO_COMPACTION`` environment variable or per job via
-#: ``JobConf.compaction``.
-DEFAULT_COMPACTION = os.environ.get("REPRO_COMPACTION", "full")
 
 #: Whether iterative engines run workset-driven delta iterations by
 #: default: each superstep re-maps only the state keys whose value

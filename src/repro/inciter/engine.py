@@ -191,15 +191,12 @@ class I2MREngine(IterMREngine):
         store_root: Optional[str] = None,
         executor: ExecutorSpec = None,
         num_shards: Optional[int] = None,
-        compaction: Optional[str] = None,
     ) -> None:
         super().__init__(cluster, dfs, executor)
         self.policy_factory = policy_factory
         self.store_root = store_root
         #: shards per preserved MRBG-Store (None = REPRO_SHARDS default).
         self.num_shards = num_shards
-        #: MRBG-Store compaction policy name (None = REPRO_COMPACTION).
-        self.compaction = compaction
 
     # ------------------------------------------------------------------ #
     # initial converged run                                              #
@@ -228,7 +225,6 @@ class I2MREngine(IterMREngine):
             num_shards=self.num_shards,
             store_executor=self.backend_for(job),
             num_workers=self.cluster.num_workers,
-            compaction=self.compaction,
         )
         for q, chunk_list in enumerate(stepper.chunks):
             if chunk_list:

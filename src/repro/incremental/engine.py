@@ -190,7 +190,6 @@ class IncrMREngine(MapReduceEngine):
                 num_shards=num_shards,
                 store_executor=self.backend_for(jobconf),
                 num_workers=self.cluster.num_workers,
-                compaction=jobconf.compaction,
             )
         if accumulator and not isinstance(jobconf.reducer(), AccumulatorReducer):
             raise InvalidJobConf("accumulator mode requires an AccumulatorReducer")

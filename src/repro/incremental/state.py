@@ -42,7 +42,6 @@ class PreservedJobState:
         num_shards: Optional[int] = None,
         store_executor: Any = None,
         num_workers: Optional[int] = None,
-        compaction: Any = None,
         fault_hook: Any = None,
     ) -> None:
         self.num_reducers = num_reducers
@@ -61,9 +60,7 @@ class PreservedJobState:
         #: simulated workers shard placement spreads over (the engines
         #: pass their cluster's size; None = DEFAULT_NUM_WORKERS).
         self._num_workers = num_workers
-        #: compaction policy and crash hook handed to every store this
-        #: state creates (None = config default; see repro.mrbgraph.compaction).
-        self._compaction = compaction
+        #: crash hook handed to every store this state creates.
         self._fault_hook = fault_hook
         self._stores: Dict[int, StoreLike] = {}
         #: fine-grain mode: reduce-instance key -> that instance's outputs.
@@ -92,7 +89,6 @@ class PreservedJobState:
                     cost_model=self._cost_model,
                     executor=self._store_executor,
                     num_workers=self._num_workers,
-                    compaction=self._compaction,
                     fault_hook=self._fault_hook,
                 )
             elif self.num_shards > 1:
@@ -103,7 +99,6 @@ class PreservedJobState:
                     cost_model=self._cost_model,
                     executor=self._store_executor,
                     num_workers=self._num_workers,
-                    compaction=self._compaction,
                     fault_hook=self._fault_hook,
                 )
             elif os.path.exists(os.path.join(directory, "mrbg.idx")) or os.path.exists(
@@ -113,7 +108,6 @@ class PreservedJobState:
                     directory,
                     policy=self._policy_factory(),
                     cost_model=self._cost_model,
-                    compaction=self._compaction,
                     fault_hook=self._fault_hook,
                 )
             else:
@@ -121,7 +115,6 @@ class PreservedJobState:
                     directory,
                     policy=self._policy_factory(),
                     cost_model=self._cost_model,
-                    compaction=self._compaction,
                     fault_hook=self._fault_hook,
                 )
         return self._stores[partition]
@@ -157,11 +150,10 @@ class PreservedJobState:
             store.compact()
 
     def maybe_compact_all(self) -> None:
-        """Idle-time opportunity: compact only stores whose policy fires.
+        """Idle-time opportunity: compact only stores holding dead weight.
 
-        Policy-gated counterpart of :meth:`compact_all` — each store's
-        :class:`~repro.mrbgraph.compaction.CompactionPolicy` decides
-        whether its rewrite pays for itself yet.
+        Gated counterpart of :meth:`compact_all` — each store applies
+        :meth:`~repro.mrbgraph.store.MRBGStore.maybe_compact`'s rule.
         """
         for store in self._stores.values():
             store.maybe_compact()

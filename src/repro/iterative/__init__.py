@@ -7,11 +7,7 @@ from repro.iterative.engine import (
     IterMRResult,
     run_full_iteration,
 )
-from repro.iterative.partitioning import (
-    PartitionedStructure,
-    partition_structure,
-    state_partition,
-)
+from repro.iterative.partitioning import PartitionedStructure, partition_structure
 
 # Imported after the engine: repro.iterative.workset pulls in
 # repro.inciter.cpc, whose package imports the inciter engine, which
@@ -29,7 +25,6 @@ __all__ = [
     "run_full_iteration",
     "PartitionedStructure",
     "partition_structure",
-    "state_partition",
     "Workset",
     "WorksetRunner",
 ]

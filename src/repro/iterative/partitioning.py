@@ -164,11 +164,6 @@ def partition_structure(
     return parts
 
 
-def state_partition(dk: Any, num_partitions: int) -> int:
-    """Partition of a state kv-pair: ``hash(DK, n)`` (Equation 1)."""
-    return partition_for(dk, num_partitions)
-
-
 def state_bytes_by_partition(
     state: Dict[Any, Any],
     num_partitions: int,

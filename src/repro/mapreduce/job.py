@@ -35,12 +35,6 @@ class JobConf:
             counters or simulated times, only host wall-clock.
         max_workers: worker cap for pool backends (``None`` = one per
             host CPU).
-        compaction: MRBG-Store compaction policy for state this job
-            preserves — ``"full"`` / ``"size-tiered"`` / ``"leveled"``
-            (see :mod:`repro.mrbgraph.compaction`), or ``None`` for the
-            ``REPRO_COMPACTION`` default.  Only the incremental engines
-            consult it; a policy never changes on-disk formats, only
-            *when* idle-time compaction rewrites a store.
         task_retries: failed task attempts transparently re-executed
             before the failure propagates (``None`` = the
             ``REPRO_TASK_RETRIES`` default).  Retries charge simulated
@@ -62,7 +56,6 @@ class JobConf:
     partitioner: Partitioner = default_partitioner
     executor: ExecutorSpec = None
     max_workers: Optional[int] = None
-    compaction: Optional[str] = None
     task_retries: Optional[int] = None
     task_timeout_s: Optional[float] = None
     speculation: Optional[bool] = None
@@ -87,14 +80,6 @@ class JobConf:
                 )
         if self.max_workers is not None and self.max_workers <= 0:
             raise InvalidJobConf("max_workers must be positive")
-        if self.compaction is not None:
-            from repro.mrbgraph.compaction import POLICIES
-
-            if self.compaction not in POLICIES:
-                raise InvalidJobConf(
-                    f"unknown compaction policy {self.compaction!r}; "
-                    f"expected one of {sorted(POLICIES)}"
-                )
         if self.task_retries is not None and self.task_retries < 0:
             raise InvalidJobConf("task_retries must be non-negative")
         if self.task_timeout_s is not None and self.task_timeout_s <= 0:

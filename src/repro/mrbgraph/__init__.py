@@ -1,21 +1,7 @@
 """MRBGraph abstraction and the on-disk MRBG-Store (paper §3.2–3.4, §5.2)."""
 
-from repro.mrbgraph.compaction import (
-    CompactionPolicy,
-    CompactionStats,
-    FullCompaction,
-    LeveledCompaction,
-    SizeTieredCompaction,
-    compaction_policy,
-)
 from repro.mrbgraph.graph import DeltaEdge, Edge, apply_delta, group_delta_by_key
-from repro.mrbgraph.sharding import (
-    HashShardRouter,
-    RangeShardRouter,
-    ShardedMRBGStore,
-    ShardRouter,
-    StoreLike,
-)
+from repro.mrbgraph.sharding import HashShardRouter, ShardedMRBGStore, StoreLike
 from repro.mrbgraph.store import MRBGStore, StoreMetrics
 from repro.mrbgraph.wal import RecoveredState, WALReplay, WriteAheadLog
 from repro.mrbgraph.windows import (
@@ -29,12 +15,6 @@ from repro.mrbgraph.windows import (
 )
 
 __all__ = [
-    "CompactionPolicy",
-    "CompactionStats",
-    "FullCompaction",
-    "LeveledCompaction",
-    "SizeTieredCompaction",
-    "compaction_policy",
     "DeltaEdge",
     "Edge",
     "apply_delta",
@@ -45,8 +25,6 @@ __all__ = [
     "WALReplay",
     "WriteAheadLog",
     "HashShardRouter",
-    "RangeShardRouter",
-    "ShardRouter",
     "ShardedMRBGStore",
     "StoreLike",
     "ChunkLocation",

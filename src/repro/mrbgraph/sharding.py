@@ -9,8 +9,9 @@ shards — each with its own append buffer, ``mrbg.dat``/``mrbg.idx`` pair
 and window cache — behind the same store interface, so the incremental
 engines use a sharded store transparently:
 
-- a :class:`ShardRouter` maps each ``K2`` to its shard deterministically
-  (hash routing by default, optional range routing);
+- a :class:`HashShardRouter` maps each ``K2`` to its shard with
+  :func:`repro.common.hashing.partition_for`, the placement the engines
+  use for everything else;
 - delta merges, initial builds, offline compactions and index flushes
   fan out per shard through an execution backend — independent shards
   proceed concurrently on the ``thread``/``process`` backends while the
@@ -31,7 +32,6 @@ data file byte-identical to an unsharded store fed the same operations.
 
 from __future__ import annotations
 
-import bisect
 import os
 from typing import (
     Any,
@@ -59,7 +59,6 @@ from repro.common.hashing import partition_for
 from repro.common.kvpair import sort_key
 from repro.common.serialization import decode_many, encode_many
 from repro.mrbgraph.chunk import ColumnarEdges
-from repro.mrbgraph.compaction import CompactionSpec
 from repro.mrbgraph.graph import DeltaEdge, Edge
 from repro.mrbgraph.store import (
     FaultHook,
@@ -79,42 +78,20 @@ PolicyFactory = Any
 
 
 # ---------------------------------------------------------------------- #
-# routers                                                                #
+# routing                                                                #
 # ---------------------------------------------------------------------- #
 
 
-class ShardRouter:
-    """Deterministic ``K2 → shard`` mapping shared by writers and readers.
-
-    A router is a pure function of the key: routing never depends on the
-    current key population, so inserting or deleting chunks can never
-    move other keys between shards (the stability property the
-    hypothesis suite checks).
-    """
-
-    #: registry name persisted in the shard manifest.
-    kind: str = "abstract"
-    num_shards: int = 1
-
-    def shard_for(self, key: Any) -> int:
-        """Shard index in ``[0, num_shards)`` owning ``key``'s chunk."""
-        raise NotImplementedError
-
-    def spec(self) -> Dict[str, Any]:
-        """Serializable description persisted in the shard manifest."""
-        raise NotImplementedError
-
-
-class HashShardRouter(ShardRouter):
-    """The default router: ``stable_hash(key) % num_shards``.
+class HashShardRouter:
+    """Deterministic ``K2 → shard`` mapping: ``partition_for(key, n)``.
 
     Routes through :func:`repro.common.hashing.partition_for`, the
     library's one deterministic placement function (never Python's
     randomized builtin hash), so placement is identical across processes
-    and runs and equals the engines' partitioning.
+    and runs and equals the engines' partitioning.  Routing depends on
+    the key alone, so inserting or deleting chunks never moves other
+    keys between shards.
     """
-
-    kind = "hash"
 
     def __init__(self, num_shards: int) -> None:
         if num_shards <= 0:
@@ -122,51 +99,28 @@ class HashShardRouter(ShardRouter):
         self.num_shards = num_shards
 
     def shard_for(self, key: Any) -> int:
-        """Deterministic ``stable_hash(key) % num_shards``."""
+        """Shard index in ``[0, num_shards)`` owning ``key``'s chunk."""
         return partition_for(key, self.num_shards)
 
     def spec(self) -> Dict[str, Any]:
-        """Manifest description: kind + shard count."""
-        return {"kind": self.kind, "num_shards": self.num_shards}
+        """Description persisted in the shard manifest."""
+        return {"kind": "hash", "num_shards": self.num_shards}
 
 
-class RangeShardRouter(ShardRouter):
-    """Range partitioning on the K2 sort order.
+def _read_manifest(directory: str) -> Optional[Dict[str, Any]]:
+    """The router spec of ``directory``'s shard manifest (None if absent).
 
-    ``boundaries`` are ``num_shards - 1`` split keys: a key routes to the
-    first shard whose boundary is ≥ the key (lower-bound search on
-    :func:`repro.common.kvpair.sort_key` order, so a boundary key routes
-    to the shard it bounds) — shard *i* holds the keys in
-    ``(boundaries[i-1], boundaries[i]]``.  Useful when queries scan
-    contiguous K2 ranges and should touch one shard each.
+    Raises:
+        StoreError: the manifest names a router kind other than hash.
     """
-
-    kind = "range"
-
-    def __init__(self, boundaries: Sequence[Any]) -> None:
-        self.boundaries = list(boundaries)
-        self._cuts = [sort_key(b) for b in self.boundaries]
-        if self._cuts != sorted(self._cuts):
-            raise ValueError("range boundaries must be sorted")
-        self.num_shards = len(self.boundaries) + 1
-
-    def shard_for(self, key: Any) -> int:
-        """Lower-bound search of ``key`` among the sorted boundaries."""
-        return bisect.bisect_left(self._cuts, sort_key(key))
-
-    def spec(self) -> Dict[str, Any]:
-        """Manifest description: kind + boundary keys."""
-        return {"kind": self.kind, "boundaries": list(self.boundaries)}
-
-
-def router_from_spec(spec: Dict[str, Any]) -> ShardRouter:
-    """Rebuild a router from its persisted manifest description."""
-    kind = spec.get("kind")
-    if kind == HashShardRouter.kind:
-        return HashShardRouter(spec["num_shards"])
-    if kind == RangeShardRouter.kind:
-        return RangeShardRouter(spec["boundaries"])
-    raise StoreError(f"unknown shard router kind {kind!r}")
+    manifest_path = os.path.join(directory, _MANIFEST_FILE)
+    if not os.path.exists(manifest_path):
+        return None
+    with open(manifest_path, "rb") as fh:
+        spec = decode_many(fh.read())[0]["router"]
+    if spec.get("kind") != "hash":
+        raise StoreError(f"unknown shard router kind {spec.get('kind')!r}")
+    return spec
 
 
 # ---------------------------------------------------------------------- #
@@ -225,35 +179,28 @@ class ShardedMRBGStore:
         self,
         directory: str,
         num_shards: Optional[int] = None,
-        router: Optional[ShardRouter] = None,
         policy_factory: Optional[PolicyFactory] = None,
         cost_model: Optional[CostModel] = None,
         append_buffer_size: int = config.DEFAULT_APPEND_BUFFER_SIZE,
         prefetch_lookahead: int = config.DEFAULT_PREFETCH_LOOKAHEAD,
         executor: Any = None,
         num_workers: Optional[int] = None,
-        compaction: CompactionSpec = None,
         fault_hook: Optional[FaultHook] = None,
         _reopen: bool = False,
     ) -> None:
-        if router is None:
-            if num_shards is None:
-                num_shards = config.DEFAULT_NUM_SHARDS
-            router = HashShardRouter(num_shards)
-        elif num_shards is not None and num_shards != router.num_shards:
-            raise StoreError(
-                f"num_shards={num_shards} contradicts the router's "
-                f"{router.num_shards}"
-            )
+        if num_shards is None:
+            num_shards = config.DEFAULT_NUM_SHARDS
+        self.router = HashShardRouter(num_shards)
         os.makedirs(directory, exist_ok=True)
         self.directory = directory
-        self.router = router
+        if not _reopen:
+            self._write_manifest()
         self.cost_model = cost_model or CostModel()
         self.policy_factory = policy_factory
         self.append_buffer_size = append_buffer_size
         self.prefetch_lookahead = prefetch_lookahead
         self.placement = ShardPlacement(
-            num_shards=router.num_shards,
+            num_shards=num_shards,
             num_workers=num_workers or config.DEFAULT_NUM_WORKERS,
         )
         #: placement of the most recent fanned-out maintenance round.
@@ -272,7 +219,7 @@ class ShardedMRBGStore:
         self._closed = False
 
         self._shards: List[MRBGStore] = []
-        for sid in range(router.num_shards):
+        for sid in range(num_shards):
             shard_dir = os.path.join(directory, _SHARD_DIR_FMT % sid)
             policy = policy_factory() if policy_factory else None
             if _reopen:
@@ -280,7 +227,6 @@ class ShardedMRBGStore:
                     shard_dir,
                     policy=policy,
                     cost_model=self.cost_model,
-                    compaction=compaction,
                     fault_hook=fault_hook,
                     shard_id=sid,
                 )
@@ -291,12 +237,10 @@ class ShardedMRBGStore:
                     cost_model=self.cost_model,
                     append_buffer_size=append_buffer_size,
                     prefetch_lookahead=prefetch_lookahead,
-                    compaction=compaction,
                     fault_hook=fault_hook,
                     shard_id=sid,
                 )
             self._shards.append(shard)
-        self._write_manifest()
 
     # ------------------------------------------------------------------ #
     # lifecycle                                                          #
@@ -310,7 +254,6 @@ class ShardedMRBGStore:
         cost_model: Optional[CostModel] = None,
         executor: Any = None,
         num_workers: Optional[int] = None,
-        compaction: CompactionSpec = None,
         fault_hook: Optional[FaultHook] = None,
     ) -> "ShardedMRBGStore":
         """Reopen a sharded store from its manifest and shard indexes.
@@ -318,30 +261,42 @@ class ShardedMRBGStore:
         Every shard reopens through :meth:`MRBGStore.open`, so per-shard
         write-ahead-log recovery runs shard by shard — a crash that
         killed one shard mid-operation never affects its siblings.
+
+        Raises:
+            StoreError: no manifest, or one naming another placement
+                than hash routing.
         """
-        manifest_path = os.path.join(directory, _MANIFEST_FILE)
-        if not os.path.exists(manifest_path):
+        spec = _read_manifest(directory)
+        if spec is None:
             raise StoreError(f"no shard manifest under {directory!r}")
-        with open(manifest_path, "rb") as fh:
-            manifest = decode_many(fh.read())[0]
         return cls(
             directory,
-            router=router_from_spec(manifest["router"]),
+            num_shards=spec["num_shards"],
             policy_factory=policy_factory,
             cost_model=cost_model,
             executor=executor,
             num_workers=num_workers,
-            compaction=compaction,
             fault_hook=fault_hook,
             _reopen=True,
         )
 
     def _write_manifest(self) -> None:
-        manifest_path = os.path.join(self.directory, _MANIFEST_FILE)
-        if os.path.exists(manifest_path):
-            return
-        raw = encode_many([{"router": self.router.spec()}])
-        atomic_write(manifest_path, raw)
+        """Persist the shard layout, or check it against the one on disk.
+
+        Raises:
+            StoreError: the directory's manifest names another shard
+                count — its keys were placed for that count.
+        """
+        spec = _read_manifest(self.directory)
+        if spec is None:
+            raw = encode_many([{"router": self.router.spec()}])
+            atomic_write(os.path.join(self.directory, _MANIFEST_FILE), raw)
+        elif spec["num_shards"] != self.num_shards:
+            raise StoreError(
+                f"num_shards={self.num_shards} contradicts the "
+                f"{spec['num_shards']} shards of the manifest under "
+                f"{self.directory!r}"
+            )
 
     def close(self) -> None:
         """Close every shard and any backend this store created."""
@@ -656,10 +611,9 @@ class ShardedMRBGStore:
     def maybe_compact(self) -> int:
         """Idle-time opportunity: compact the shards whose policy fires.
 
-        Each shard consults its own
-        :class:`~repro.mrbgraph.compaction.CompactionPolicy` against its
-        own batch stack, so a hot shard can compact while its siblings
-        keep cheap append-only batches.  Returns how many shards
+        Each shard applies :meth:`MRBGStore.maybe_compact`'s rule to its
+        own batch stack, so a shard holding dead bytes compacts while an
+        already-compact sibling is left alone.  Returns how many shards
         compacted.
         """
         self._check_open()
@@ -701,7 +655,7 @@ class ShardedMRBGStore:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<ShardedMRBGStore shards={self.num_shards} "
-            f"router={self.router.kind!r} dir={self.directory!r}>"
+            f"dir={self.directory!r}>"
         )
 
 

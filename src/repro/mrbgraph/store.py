@@ -17,9 +17,7 @@ Durability (see :mod:`repro.mrbgraph.wal`): every mutation is journaled
 to a per-store write-ahead log before it touches ``mrbg.dat``, the index
 is swapped atomically, and :meth:`MRBGStore.open` replays the log so a
 store killed mid-merge or mid-compaction always reopens either at the
-state before the interrupted operation or at the state after it.  When
-to compact is delegated to a pluggable policy
-(:mod:`repro.mrbgraph.compaction`).
+state before the interrupted operation or at the state after it.
 """
 
 from __future__ import annotations
@@ -40,12 +38,6 @@ from repro.common.kvpair import sort_key
 from repro.common.serialization import decode_many, encode, encode_many
 from repro.faults.injection import CrashDirective, InjectedCrash
 from repro.mrbgraph.chunk import ColumnarEdges, decode_chunk, decoded_columns, encode_chunk
-from repro.mrbgraph.compaction import (
-    CompactionSpec,
-    CompactionStats,
-    compaction_policy,
-    stats_for_index,
-)
 from repro.mrbgraph.graph import DeltaEdge, Edge, apply_delta
 from repro.mrbgraph.wal import (
     OP_BEGIN,
@@ -328,7 +320,6 @@ class MRBGStore:
         cost_model: Optional[CostModel] = None,
         append_buffer_size: int = config.DEFAULT_APPEND_BUFFER_SIZE,
         prefetch_lookahead: int = config.DEFAULT_PREFETCH_LOOKAHEAD,
-        compaction: CompactionSpec = None,
         fault_hook: Optional[FaultHook] = None,
         shard_id: int = 0,
     ) -> None:
@@ -339,7 +330,6 @@ class MRBGStore:
         self.append_buffer_size = append_buffer_size
         self.prefetch_lookahead = prefetch_lookahead
         self.metrics = StoreMetrics()
-        self.compaction = compaction_policy(compaction)
         self.fault_hook = fault_hook
         #: shard index this store plays in a sharded store (0 standalone);
         #: crash-injection hooks key their hit counters on it.
@@ -394,7 +384,6 @@ class MRBGStore:
         directory: str,
         policy: Optional[WindowPolicy] = None,
         cost_model: Optional[CostModel] = None,
-        compaction: CompactionSpec = None,
         fault_hook: Optional[FaultHook] = None,
         shard_id: int = 0,
     ) -> "MRBGStore":
@@ -417,7 +406,6 @@ class MRBGStore:
             directory,
             policy=policy,
             cost_model=cost_model,
-            compaction=compaction,
             fault_hook=fault_hook,
             shard_id=shard_id,
         )
@@ -1041,23 +1029,19 @@ class MRBGStore:
             for key, (_, columns) in self._resident.items()
         }
 
-    def compaction_stats(self) -> CompactionStats:
-        """Live statistics the compaction policy consults."""
-        return stats_for_index(self._index, self._num_batches, self._file_size)
-
     def maybe_compact(self) -> bool:
-        """Idle-time compaction opportunity: rewrite iff the policy fires.
+        """Idle-time compaction opportunity: rewrite iff there is dead weight.
 
-        The engines (and callers simulating "when the worker is idle",
-        §3.4) call this instead of :meth:`compact` so the configured
-        :class:`~repro.mrbgraph.compaction.CompactionPolicy` decides
-        whether the rewrite pays for itself yet.  Returns whether a
+        The hook for the paper's "when the worker is idle" (§3.4): it
+        compacts once the file holds more than one sorted batch or any
+        superseded chunk bytes, and otherwise leaves an already-compact
+        store alone.  No engine calls it yet.  Returns whether a
         compaction ran.
         """
         if self._crashed or self._in_session:
             return False
         self._check_open()
-        if not self.compaction.should_compact(self.compaction_stats()):
+        if self._num_batches <= 1 and self._file_size <= self.live_bytes():
             return False
         self.compact()
         return True

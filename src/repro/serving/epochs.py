@@ -9,9 +9,9 @@ how ingestion interleaves with it (the snapshot-isolation contract of
 Fegaras' incremental query serving, PAPERS.md).
 
 Snapshots are cheap because they share structure.  The served key space
-is partitioned over *serving shards* by a deterministic
-:class:`~repro.mrbgraph.sharding.ShardRouter` (the same router family
-the MRBG-Store uses), and each shard's view at an epoch is a
+is partitioned over *serving shards* by
+:func:`~repro.common.hashing.partition_for` (the placement the engines
+and the MRBG-Store use), and each shard's view at an epoch is a
 **copy-on-write overlay chain**: epoch ``N`` stores only the keys the
 batch actually changed, layered over epoch ``N-1``'s overlay.  A shard
 untouched by a batch shares its previous overlay object outright, so
@@ -55,13 +55,9 @@ from typing import (
 
 from repro.common import config
 from repro.common.errors import EpochRetired, ServingError, UnknownEpoch
+from repro.common.hashing import partition_for
 from repro.common.kvpair import sort_key
 from repro.common.sizeof import record_size
-from repro.mrbgraph.sharding import (
-    HashShardRouter,
-    RangeShardRouter,
-    ShardRouter,
-)
 
 #: Tombstone marking a key deleted in an overlay (never exposed).
 _DELETED = object()
@@ -218,13 +214,13 @@ class EpochSnapshot:
     overlays on top, they never mutate what this snapshot can see.
     """
 
-    __slots__ = ("epoch", "router", "touched", "num_keys", "topk",
+    __slots__ = ("epoch", "num_shards", "touched", "num_keys", "topk",
                  "topk_complete", "_overlays")
 
     def __init__(
         self,
         epoch: int,
-        router: ShardRouter,
+        num_shards: int,
         overlays: Tuple[_ShardOverlay, ...],
         touched: frozenset,
         num_keys: int,
@@ -233,8 +229,8 @@ class EpochSnapshot:
     ) -> None:
         #: the epoch sequence number (0 = the initial publish).
         self.epoch = epoch
-        #: the serving-shard router (shared with the manager).
-        self.router = router
+        #: serving shards the key space is partitioned over.
+        self.num_shards = num_shards
         #: keys this epoch's batch changed or deleted (drives cache
         #: invalidation; empty for a no-change commit).
         self.touched = touched
@@ -252,21 +248,16 @@ class EpochSnapshot:
     # reads                                                          #
     # -------------------------------------------------------------- #
 
-    @property
-    def num_shards(self) -> int:
-        """Serving shards the key space is partitioned over."""
-        return self.router.num_shards
-
     def shard_for(self, key: Any) -> int:
-        """The serving shard owning ``key`` (router delegation)."""
-        return self.router.shard_for(key)
+        """The serving shard owning ``key``: ``partition_for(key, n)``."""
+        return partition_for(key, self.num_shards)
 
     def get(self, key: Any, default: Any = None) -> Any:
         """Point lookup at this epoch."""
-        return self._overlays[self.router.shard_for(key)].get(key, default)
+        return self._overlays[partition_for(key, self.num_shards)].get(key, default)
 
     def __contains__(self, key: Any) -> bool:
-        return key in self._overlays[self.router.shard_for(key)]
+        return key in self._overlays[partition_for(key, self.num_shards)]
 
     def items(self) -> Iterator[Tuple[Any, Any]]:
         """Every live ``(key, value)`` pair: shard by shard, in shard-id
@@ -277,18 +268,8 @@ class EpochSnapshot:
             yield from zip(keys, values)
 
     def range_shards(self, lo: Any, hi: Any) -> Sequence[int]:
-        """Serving shards that can hold keys in ``[lo, hi]``.
-
-        With a :class:`~repro.mrbgraph.sharding.RangeShardRouter` the
-        range maps to a *contiguous* shard run (that is the point of
-        range routing: scans touch only the overlapping shards); any
-        other router may scatter the range everywhere, so all shards
-        are scanned.
-        """
-        if isinstance(self.router, RangeShardRouter):
-            return range(
-                self.router.shard_for(lo), self.router.shard_for(hi) + 1
-            )
+        """Serving shards that can hold keys in ``[lo, hi]``: all of them,
+        since hash placement scatters any range over every shard."""
         return range(self.num_shards)
 
     def scan(
@@ -414,21 +395,15 @@ class EpochManager:
 
     def __init__(
         self,
-        router: Optional[ShardRouter] = None,
         num_shards: Optional[int] = None,
         retain: Optional[int] = None,
         track_top: Optional[int] = None,
         topk_slack: int = 2,
         collapse_depth: int = 8,
     ) -> None:
-        if router is None:
-            router = HashShardRouter(num_shards or 1)
-        elif num_shards is not None and num_shards != router.num_shards:
-            raise ServingError(
-                f"num_shards={num_shards} contradicts the router's "
-                f"{router.num_shards}"
-            )
-        self.router = router
+        self.num_shards = num_shards or 1
+        if self.num_shards < 1:
+            raise ServingError("num_shards must be positive")
         self.retain = config.DEFAULT_SERVING_RETAIN if retain is None else retain
         if self.retain < 1:
             raise ServingError("retain must be at least 1")
@@ -456,7 +431,7 @@ class EpochManager:
         self._latest_epoch = -1
         self._oldest_epoch = 0
         self._overlays: Tuple[_ShardOverlay, ...] = tuple(
-            _ShardOverlay({}) for _ in range(router.num_shards)
+            _ShardOverlay({}) for _ in range(self.num_shards)
         )
         #: top-k candidates as (rank, key, value), best first.
         self._candidates: List[Tuple[Tuple, Any, Any]] = []
@@ -530,12 +505,12 @@ class EpochManager:
     def _publish_locked(
         self, changed: Dict[Any, Any], deleted: List[Any]
     ) -> EpochSnapshot:
-        router = self.router
+        num_shards = self.num_shards
         per_shard: Dict[int, Dict[Any, Any]] = {}
         for key, value in changed.items():
-            per_shard.setdefault(router.shard_for(key), {})[key] = value
+            per_shard.setdefault(partition_for(key, num_shards), {})[key] = value
         for key in deleted:
-            per_shard.setdefault(router.shard_for(key), {})[key] = _DELETED
+            per_shard.setdefault(partition_for(key, num_shards), {})[key] = _DELETED
 
         overlays = list(self._overlays)
         for sid, shard_changed in per_shard.items():
@@ -552,7 +527,7 @@ class EpochManager:
         epoch = self._latest_epoch + 1
         snapshot = EpochSnapshot(
             epoch=epoch,
-            router=router,
+            num_shards=num_shards,
             overlays=self._overlays,
             touched=touched,
             num_keys=len(self._live),
@@ -712,5 +687,5 @@ class EpochManager:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<EpochManager epochs=[{self._oldest_epoch}, "
-            f"{self._latest_epoch}] shards={self.router.num_shards}>"
+            f"{self._latest_epoch}] shards={self.num_shards}>"
         )

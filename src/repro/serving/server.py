@@ -33,7 +33,6 @@ from repro.common import config
 from repro.common.errors import QueryTimeout
 from repro.common.kvpair import sort_key
 from repro.common.sizeof import record_size
-from repro.mrbgraph.sharding import ShardRouter
 from repro.resilience.policy import RetryPolicy
 from repro.serving.cache import ResultCache, entry_signature
 from repro.serving.epochs import EpochManager, EpochSnapshot, prefix_range
@@ -86,7 +85,6 @@ class QueryServer:
     def __init__(
         self,
         manager: Optional[EpochManager] = None,
-        router: Optional[ShardRouter] = None,
         num_shards: Optional[int] = None,
         cache: Optional[ResultCache] = None,
         policy: Optional[RetryPolicy] = None,
@@ -94,7 +92,7 @@ class QueryServer:
         timeout_s: Optional[float] = None,
     ) -> None:
         if manager is None:
-            manager = EpochManager(router=router, num_shards=num_shards)
+            manager = EpochManager(num_shards=num_shards)
         self.manager = manager
         self.cache = ResultCache() if cache is None else cache
         if policy is None:

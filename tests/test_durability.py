@@ -4,13 +4,10 @@ The contract under test (docs/store.md, "Durability & recovery"): a
 store killed at *any* crash point reopens — via write-ahead-log replay —
 at a state byte-identical to either the moment before the interrupted
 operation or the moment after it, never a third state.  The crash matrix
-drives every named crash site across shard counts and compaction
-policies; a Hypothesis property test interleaves random mutations with a
-crash at a random WAL byte offset; golden files pin the journal's wire
-format and the sharded manifest layout.
-
-The exhaustive matrix combinations are marked ``slow`` (run them with
-``--runslow``); a quick subset always runs in tier 1.
+drives every named crash site on a single and a sharded store; a
+Hypothesis property test interleaves random mutations with a crash at a
+random WAL byte offset; golden files pin the journal's wire format and
+the sharded manifest layout.
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.config import DEFAULT_NUM_SHARDS
-from repro.common.errors import InvalidJobConf, WALCorruptError
+from repro.common.errors import WALCorruptError
 from repro.common.kvpair import Op, delete, insert
 from repro.common.serialization import encode_many
 from repro.faults import (
@@ -73,29 +70,23 @@ NUM_SHARDS = 4
 # --------------------------------------------------------------------- #
 
 
-def new_store(directory, kind, policy="full", fault_hook=None):
+def new_store(directory, kind, fault_hook=None):
     """A fresh store of the requested kind (serial backend)."""
     if kind == "single":
-        return MRBGStore(str(directory), compaction=policy, fault_hook=fault_hook)
+        return MRBGStore(str(directory), fault_hook=fault_hook)
     return ShardedMRBGStore(
         str(directory),
         num_shards=NUM_SHARDS,
         executor="serial",
-        compaction=policy,
         fault_hook=fault_hook,
     )
 
 
-def reopen_store(directory, kind, policy="full", fault_hook=None):
+def reopen_store(directory, kind, fault_hook=None):
     """Reopen a persisted store directory (recovery runs here)."""
     if kind == "single":
-        return MRBGStore.open(str(directory), compaction=policy, fault_hook=fault_hook)
-    return ShardedMRBGStore.open(
-        str(directory),
-        executor="serial",
-        compaction=policy,
-        fault_hook=fault_hook,
-    )
+        return MRBGStore.open(str(directory), fault_hook=fault_hook)
+    return ShardedMRBGStore.open(str(directory), executor="serial", fault_hook=fault_hook)
 
 
 def store_units(directory, kind):
@@ -143,13 +134,13 @@ def seed_chunks(keys):
 SEED_KEYS = list(range(24))
 
 
-def build_pre_state(directory, kind, policy):
+def build_pre_state(directory, kind):
     """Seed + one committed merge + save: the 'pre' golden state.
 
     The merge leaves a second batch and dead bytes behind, so the
     compaction scenarios have real work to do.
     """
-    store = new_store(directory, kind, policy)
+    store = new_store(directory, kind)
     store.build(seed_chunks(SEED_KEYS))
     store.begin_merge(sorted(SEED_KEYS))
     for k in sorted(SEED_KEYS)[:8]:
@@ -226,18 +217,17 @@ def crash_context(point, occurrence=None, byte_offset=None):
     return ctx
 
 
-def run_crash_and_recover(tmp_path, kind, policy, point, occurrence=None,
-                          byte_offset=None):
+def run_crash_and_recover(tmp_path, kind, point, occurrence=None, byte_offset=None):
     """Build pre/post goldens, crash at ``point``, recover; return digests."""
     pre_dir = tmp_path / "pre"
-    build_pre_state(pre_dir, kind, policy)
+    build_pre_state(pre_dir, kind)
     pre = digests(pre_dir, kind)
 
     scenario, expect_crashed, expect_other = CRASH_SCENARIOS[point]
 
     post_dir = tmp_path / "post"
     shutil.copytree(pre_dir, post_dir)
-    golden = reopen_store(post_dir, kind, policy)
+    golden = reopen_store(post_dir, kind)
     scenario(golden)
     golden.close()
     post = digests(post_dir, kind)
@@ -250,7 +240,7 @@ def run_crash_and_recover(tmp_path, kind, policy, point, occurrence=None,
         return open(path, "rb").read() if os.path.exists(path) else b""
 
     ctx = crash_context(point, occurrence=occurrence, byte_offset=byte_offset)
-    store = reopen_store(crash_dir, kind, policy, fault_hook=ctx.store_hook())
+    store = reopen_store(crash_dir, kind, fault_hook=ctx.store_hook())
     with pytest.raises(InjectedCrash) as excinfo:
         scenario(store)
     assert excinfo.value.point == point
@@ -263,7 +253,7 @@ def run_crash_and_recover(tmp_path, kind, policy, point, occurrence=None,
     # checkpoint — reopening then has nothing to repair.
     journal_changed = wal_bytes(crash_dir) != wal_bytes(pre_dir)
 
-    recovered = reopen_store(crash_dir, kind, policy)
+    recovered = reopen_store(crash_dir, kind)
     shards = recovered.shards if kind == "sharded" else (recovered,)
     # The crashed shard's reopen must have run a recovery iff the crash
     # left any flushed evidence behind.
@@ -279,30 +269,22 @@ def run_crash_and_recover(tmp_path, kind, policy, point, occurrence=None,
     return pre, post, after, expect_crashed, expect_other
 
 
+#: Every crash point × {single, sharded}.  The ``-full`` id suffix names
+#: the store's one compaction rule, full offline reconstruction.
 MATRIX = [
-    pytest.param(
-        point,
-        kind,
-        policy,
-        marks=()
-        if policy == "full"
-        and (kind == "single" or point in ("wal-append", "post-compact-pre-swap"))
-        else (pytest.mark.slow,),
-        id=f"{point}-{kind}-{policy}",
-    )
+    pytest.param(point, kind, id=f"{point}-{kind}-full")
     for point in CRASH_SCENARIOS
     for kind in ("single", "sharded")
-    for policy in ("full", "size-tiered", "leveled")
 ]
 
 
 class TestCrashMatrix:
-    """Every crash point × shard count × compaction policy."""
+    """Every crash point × {single, sharded} store."""
 
-    @pytest.mark.parametrize("point,kind,policy", MATRIX)
-    def test_recovery_is_byte_identical(self, tmp_path, point, kind, policy):
+    @pytest.mark.parametrize("point,kind", MATRIX)
+    def test_recovery_is_byte_identical(self, tmp_path, point, kind):
         pre, post, after, expect_crashed, expect_other = run_crash_and_recover(
-            tmp_path, kind, policy, point
+            tmp_path, kind, point
         )
         golden = {"pre": pre, "post": post}
         assert after[0] == golden[expect_crashed][0]
@@ -326,7 +308,7 @@ class TestCrashMatrix:
         rolls back: the session's commit record never made it.
         """
         pre, post, after, _, _ = run_crash_and_recover(
-            tmp_path, "single", "full", "wal-append",
+            tmp_path, "single", "wal-append",
             occurrence=occurrence, byte_offset=byte_offset,
         )
         assert after[0] == pre[0]
@@ -334,15 +316,15 @@ class TestCrashMatrix:
 
     def test_recovery_is_idempotent(self, tmp_path):
         """A second reopen after recovery replays only a checkpoint."""
-        run_crash_and_recover(tmp_path, "single", "full", "pre-index-swap")
-        again = reopen_store(tmp_path / "crash", "single", "full")
+        run_crash_and_recover(tmp_path, "single", "pre-index-swap")
+        again = reopen_store(tmp_path / "crash", "single")
         assert again.metrics.recoveries == 0
         again.close()
 
     def test_clean_lifecycle_never_recovers(self, tmp_path):
         """No faults, no crash: reopen charges zero recoveries."""
-        build_pre_state(tmp_path / "s", "single", "full")
-        store = reopen_store(tmp_path / "s", "single", "full")
+        build_pre_state(tmp_path / "s", "single")
+        store = reopen_store(tmp_path / "s", "single")
         assert store.metrics.recoveries == 0
         assert store.metrics.wal_bytes_replayed > 0  # the checkpoint record
         store.close()
@@ -778,17 +760,6 @@ class TestAtomicWrite:
 
 
 class TestConfigPlumbing:
-    def test_jobconf_rejects_unknown_policy(self):
-        conf = JobConf(name="j", mapper=TokenMapper, reducer=SumReducer,
-                       inputs=["/in"], output="/out", compaction="bogus")
-        with pytest.raises(InvalidJobConf):
-            conf.validate()
-
-    @pytest.mark.parametrize("policy", ["full", "size-tiered", "leveled", None])
-    def test_jobconf_accepts_known_policies(self, policy):
-        JobConf(name="j", mapper=TokenMapper, reducer=SumReducer,
-                inputs=["/in"], output="/out", compaction=policy).validate()
-
     def test_fault_spec_store_stage_validation(self):
         with pytest.raises(ValueError):
             FaultSpec(iteration=0, stage="store", task_index=0)  # no crash_point
@@ -805,62 +776,43 @@ class TestConfigPlumbing:
 
 
 # --------------------------------------------------------------------- #
-# compaction policies                                                   #
+# idle-time compaction                                                  #
 # --------------------------------------------------------------------- #
 
 
-def _stats(num_batches, file_size, live_bytes, batch_live_bytes=()):
-    from repro.mrbgraph.compaction import CompactionStats
-
-    return CompactionStats(
-        num_batches=num_batches,
-        file_size=file_size,
-        live_bytes=live_bytes,
-        batch_live_bytes=list(batch_live_bytes),
-    )
-
-
 class TestCompactionPolicies:
-    def test_full_fires_on_second_batch_or_dead_bytes(self):
-        from repro.mrbgraph.compaction import FullCompaction
+    """The one idle-time rule: compact on a second batch or dead bytes."""
 
-        policy = FullCompaction()
-        assert not policy.should_compact(_stats(1, 100, 100, [100]))
-        assert policy.should_compact(_stats(2, 100, 100, [50, 50]))
-        assert policy.should_compact(_stats(1, 100, 60, [60]))
-
-    def test_size_tiered_needs_a_full_tier(self):
-        from repro.mrbgraph.compaction import SizeTieredCompaction
-
-        policy = SizeTieredCompaction(min_batches=4, bucket_ratio=2.0)
-        assert not policy.should_compact(_stats(3, 300, 300, [100, 100, 100]))
-        assert policy.should_compact(_stats(4, 400, 400, [100, 110, 120, 130]))
-        # Four batches spread across distinct size tiers: no tier fills.
-        assert not policy.should_compact(_stats(4, 4000, 4000, [10, 100, 1000, 3000]))
-
-    def test_leveled_bounds_dead_ratio_and_stack_depth(self):
-        from repro.mrbgraph.compaction import LeveledCompaction
-
-        policy = LeveledCompaction(max_dead_ratio=0.3, max_batches=8)
-        assert not policy.should_compact(_stats(2, 100, 90, [45, 45]))
-        assert policy.should_compact(_stats(2, 100, 60, [30, 30]))  # 40% dead
-        assert policy.should_compact(_stats(9, 900, 900, [100] * 9))
-        assert not policy.should_compact(_stats(0, 0, 0, []))
+    def test_full_fires_on_second_batch_or_dead_bytes(self, tmp_path):
+        store = new_store(tmp_path / "s", "single")
+        store.build(seed_chunks(range(4)))
+        assert store.num_batches == 1 and store.file_size == store.live_bytes()
+        assert not store.maybe_compact()
+        # A merge stacks a second batch and supersedes the old versions.
+        store.begin_merge([1])
+        store.put_chunk(1, [Edge(0, 1.5)])
+        store.end_merge()
+        assert store.num_batches == 2
+        assert store.maybe_compact()
+        # Dead bytes alone fire too: a delete leaves the batch stack at one.
+        store.begin_merge([2])
+        store.delete_chunk(2)
+        store.end_merge()
+        assert store.num_batches == 1 and store.file_size > store.live_bytes()
+        assert store.maybe_compact()
+        assert store.file_size == store.live_bytes()
+        store.close()
 
     def test_maybe_compact_is_policy_gated(self, tmp_path):
-        # leveled tolerates the two-batch store the pre state leaves...
-        build_pre_state(tmp_path / "s", "single", "leveled")
-        store = reopen_store(tmp_path / "s", "single", "leveled")
-        stats = store.compaction_stats()
-        if stats.dead_ratio <= 0.3:
-            assert not store.maybe_compact()
-        # ...while the paper's full policy rewrites it immediately.
-        store.compaction = __import__(
-            "repro.mrbgraph.compaction", fromlist=["FullCompaction"]
-        ).FullCompaction()
+        build_pre_state(tmp_path / "s", "single")
+        store = reopen_store(tmp_path / "s", "single")
+        # The pre state's second batch fires the rule...
         assert store.maybe_compact()
         assert store.num_batches == 1
-        assert store.compaction_stats().dead_bytes == 0
+        assert store.file_size == store.live_bytes()
+        # ...and the compacted store no longer does.
+        assert not store.maybe_compact()
+        assert store.metrics.compactions == 1
         store.close()
 
     def test_delta_edge_ops_survive_merge(self, tmp_path):

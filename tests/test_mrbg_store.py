@@ -462,17 +462,6 @@ class TestPrefetchLookahead:
         store.end_merge()
         store.close()
 
-    def test_env_override(self, tmp_path, monkeypatch):
-        import importlib
-        from repro.common import config
-        monkeypatch.setenv("REPRO_PREFETCH_LOOKAHEAD", "7")
-        importlib.reload(config)
-        try:
-            assert config.DEFAULT_PREFETCH_LOOKAHEAD == 7
-        finally:
-            monkeypatch.delenv("REPRO_PREFETCH_LOOKAHEAD")
-            importlib.reload(config)
-
 
 class TestEncodeOnce:
     def test_put_chunk_index_length_matches_single_encoding(self, tmp_path):

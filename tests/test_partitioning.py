@@ -20,7 +20,6 @@ from repro.iterative.partitioning import (
     partition_job_cost,
     partition_structure,
     state_bytes_by_partition,
-    state_partition,
 )
 from repro.cluster.costmodel import CostModel
 
@@ -40,7 +39,7 @@ class TestCoPartitioning:
         # partition as its state kv-pair hash(DK).
         for p in range(4):
             for dk, pairs in parts.iter_groups(p):
-                assert state_partition(dk, 4) == p
+                assert partition_for(dk, 4) == p
                 for sk, *_ in pairs:
                     assert algorithm.project(sk) == dk
 

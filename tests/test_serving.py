@@ -33,7 +33,6 @@ from repro.common.errors import (
 from repro.common.kvpair import sort_key
 from repro.datasets.text import zipf_tweets
 from repro.mapreduce.job import JobConf
-from repro.mrbgraph.sharding import HashShardRouter, RangeShardRouter
 from repro.resilience import RetryPolicy
 from repro.serving import (
     EpochManager,
@@ -137,7 +136,7 @@ class TestEpochManager:
 
     def test_bad_construction(self):
         with pytest.raises(ServingError):
-            EpochManager(router=HashShardRouter(2), num_shards=3)
+            EpochManager(num_shards=-1)
         with pytest.raises(ServingError):
             EpochManager(retain=0)
         with pytest.raises(ServingError):
@@ -145,8 +144,8 @@ class TestEpochManager:
 
 
 class TestSnapshotReads:
-    def _manager(self, router=None):
-        m = EpochManager(router=router, num_shards=None if router else 3)
+    def _manager(self):
+        m = EpochManager(num_shards=3)
         m.publish({f"w{i:02d}": (i * 7) % 13 for i in range(20)})
         return m
 
@@ -172,15 +171,10 @@ class TestSnapshotReads:
         with pytest.raises(ServingError):
             snap.prefix_scan(7)
 
-    def test_range_router_scans_contiguous_shards_only(self):
-        router = RangeShardRouter(["g", "n", "t"])
-        m = self._manager(router=router)
-        snap = m.latest()
-        # all the w* keys live past boundary "t" -> exactly one shard.
-        assert list(snap.range_shards("w00", "w19")) == [3]
-        # a hash router cannot bound the scan.
-        hashed = self._manager().latest()
-        assert list(hashed.range_shards("w00", "w19")) == [0, 1, 2]
+    def test_range_scan_visits_every_shard(self):
+        # hash placement cannot bound a scan to a contiguous shard run.
+        snap = self._manager().latest()
+        assert list(snap.range_shards("w00", "w19")) == [0, 1, 2]
 
     def test_topk_deeper_than_tracked_falls_back_to_scan(self):
         m = EpochManager(track_top=2, topk_slack=2)
@@ -486,19 +480,14 @@ _VALUES = st.one_of(
 def test_scans_equal_the_per_hit_reference(data):
     """Columnar scans answer, cost and count shards exactly like the
     per-hit loop they replaced (``repr`` so ``-0.0``/``True`` cannot hide
-    behind ``==``): every key style, both routers × 1/2/4 shards, limits
+    behind ``==``): every key style, 1/2/4 hash-placed shards, limits
     that do and do not cut, older pinned epochs, and overlays flattened
     after their columns were built (``collapse_depth=1``)."""
     style = data.draw(st.sampled_from(sorted(_KEY_STYLES)), label="style")
     keys = _KEY_STYLES[style]
     shards = data.draw(st.sampled_from([1, 2, 4]), label="shards")
-    if data.draw(st.booleans(), label="hash"):
-        router = HashShardRouter(shards)
-    else:
-        cuts = data.draw(st.lists(keys, min_size=shards - 1, max_size=shards - 1))
-        router = RangeShardRouter(sorted(cuts, key=sort_key))
     server = QueryServer(
-        manager=EpochManager(router=router, retain=3, collapse_depth=1),
+        manager=EpochManager(num_shards=shards, retain=3, collapse_depth=1),
         cache=ResultCache(capacity=0),
         policy=RetryPolicy.disabled(),
     )

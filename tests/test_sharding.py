@@ -1,4 +1,4 @@
-"""Tests for the sharded MRBG-Store: routers, parallel maintenance,
+"""Tests for the sharded MRBG-Store: hash routing, parallel maintenance,
 byte-level equivalence with the monolithic store, and end-to-end
 engine equivalence on WordCount, PageRank and K-means workloads."""
 
@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro.common.errors import StoreClosedError, StoreError
 from repro.common.kvpair import Op, delete, insert
+from repro.common.serialization import encode_many
 from repro.incremental.api import delta_to_dfs_records
 from repro.incremental.engine import IncrMREngine
 from repro.incremental.state import PreservedJobState
@@ -19,13 +20,9 @@ from repro.mapreduce.job import JobConf
 from repro.mrbgraph import sharding as sharding_module
 from repro.mrbgraph import store as store_module
 from repro.mrbgraph.graph import DeltaEdge, Edge
-from repro.mrbgraph.sharding import (
-    HashShardRouter,
-    RangeShardRouter,
-    ShardedMRBGStore,
-    router_from_spec,
-)
+from repro.mrbgraph.sharding import HashShardRouter, ShardedMRBGStore
 from repro.mrbgraph.store import MRBGStore
+from repro.mrbgraph.wal import atomic_write
 
 from tests.conftest import fresh_cluster
 from tests.test_incremental_onestep import TokenMapper
@@ -68,72 +65,16 @@ class TestHashRouter:
         with pytest.raises(ValueError):
             HashShardRouter(0)
 
-    def test_spec_roundtrip(self):
+    def test_spec_roundtrip(self, tmp_path):
         router = HashShardRouter(8)
-        clone = router_from_spec(router.spec())
-        assert isinstance(clone, HashShardRouter)
-        assert all(clone.shard_for(k) == router.shard_for(k) for k in range(100))
-
-
-class TestRangeRouter:
-    def test_partitions_by_sort_order(self):
-        router = RangeShardRouter([10, 20])
-        assert router.num_shards == 3
-        assert router.shard_for(5) == 0
-        assert router.shard_for(10) == 0
-        assert router.shard_for(11) == 1
-        assert router.shard_for(20) == 1
-        assert router.shard_for(99) == 2
-
-    def test_unsorted_boundaries_raise(self):
-        with pytest.raises(ValueError):
-            RangeShardRouter([20, 10])
-
-    def test_spec_roundtrip(self):
-        router = RangeShardRouter([100, 200, 300])
-        clone = router_from_spec(router.spec())
-        assert isinstance(clone, RangeShardRouter)
-        assert clone.boundaries == [100, 200, 300]
-
-    def test_unknown_spec_raises(self):
-        with pytest.raises(StoreError):
-            router_from_spec({"kind": "nope"})
-
-    def test_boundary_keys_route_to_the_shard_they_bound(self):
-        """A key exactly equal to a boundary belongs to that boundary's
-        shard (boundaries are inclusive upper bounds)."""
-        router = RangeShardRouter([10, 20, 30])
-        assert [router.shard_for(b) for b in (10, 20, 30)] == [0, 1, 2]
-        # and the first key past each boundary spills to the next shard.
-        assert [router.shard_for(b + 1) for b in (10, 20, 30)] == [1, 2, 3]
-
-    def test_keys_outside_all_boundaries(self):
-        router = RangeShardRouter([10, 20])
-        # far below every boundary -> the first shard.
-        assert router.shard_for(-(10 ** 9)) == 0
-        # far above every boundary -> the last (open-ended) shard.
-        assert router.shard_for(10 ** 9) == 2
-        # num_shards is always boundaries + 1, even for one boundary.
-        assert RangeShardRouter([0]).num_shards == 2
-
-    def test_spec_roundtrip_with_non_integer_boundaries(self):
-        """String / float / tuple boundaries survive the spec roundtrip
-        and keep routing identically (sort_key gives the total order)."""
-        for boundaries, probes in [
-            (["g", "n", "t"], ["", "a", "g", "h", "n", "o", "t", "z", "zz"]),
-            ([0.5, 1.25], [-1.0, 0.5, 0.75, 1.25, 9.9]),
-            ([("a", 1), ("b", 2)], [("a", 0), ("a", 1), ("a", 2), ("b", 2), ("c", 0)]),
-        ]:
-            router = RangeShardRouter(boundaries)
-            clone = router_from_spec(router.spec())
-            assert clone.boundaries == boundaries
-            for probe in probes:
-                shard = router.shard_for(probe)
-                assert 0 <= shard < router.num_shards
-                assert clone.shard_for(probe) == shard
-        # mixed-but-sorted string boundaries reject unsorted input too.
-        with pytest.raises(ValueError):
-            RangeShardRouter(["t", "g"])
+        assert router.spec() == {"kind": "hash", "num_shards": 8}
+        ShardedMRBGStore(str(tmp_path / "s"), num_shards=8).close()
+        reopened = ShardedMRBGStore.open(str(tmp_path / "s"))
+        assert reopened.num_shards == 8
+        assert all(
+            reopened.router.shard_for(k) == router.shard_for(k) for k in range(100)
+        )
+        reopened.close()
 
 
 class TestRouterStability:
@@ -286,10 +227,20 @@ class TestShardedStoreBasics:
             store.save_index()
 
     def test_num_shards_router_mismatch(self, tmp_path):
+        """A shard count contradicting the directory's manifest is refused:
+        keeping the old manifest would reopen the keys under the wrong
+        placement and lose some of them."""
+        directory = str(tmp_path / "s")
+        old = ShardedMRBGStore(directory, num_shards=4)
+        old.build(build_chunks(8))
+        old.save_index()
+        old.close()
         with pytest.raises(StoreError):
-            ShardedMRBGStore(
-                str(tmp_path / "bad"), num_shards=4, router=HashShardRouter(2)
-            )
+            ShardedMRBGStore(directory, num_shards=2)
+        reopened = ShardedMRBGStore.open(directory)
+        assert reopened.num_shards == 4
+        assert reopened.keys() == list(range(8))
+        reopened.close()
 
 
 class TestEmptyShards:
@@ -397,18 +348,21 @@ class TestPersistence:
         assert reopened.get_chunk(3)[0].value == "updated"
         reopened.close()
 
-    def test_manifest_preserves_range_router(self, tmp_path):
-        store = ShardedMRBGStore(
-            str(tmp_path / "ranged"), router=RangeShardRouter([10])
-        )
-        store.build([(k, [Edge(0, k)]) for k in [5, 15]])
-        store.save_index()
-        store.close()
-        reopened = ShardedMRBGStore.open(str(tmp_path / "ranged"))
-        assert isinstance(reopened.router, RangeShardRouter)
-        assert reopened.get_chunk(5) == [Edge(0, 5)]
-        assert reopened.get_chunk(15) == [Edge(0, 15)]
-        reopened.close()
+    @pytest.mark.parametrize(
+        "spec",
+        [{"kind": "range", "boundaries": [10]}, {"kind": "nope"}],
+        ids=["range", "unknown"],
+    )
+    def test_range_manifest_is_refused(self, tmp_path, spec):
+        """Hash routing is the only placement: any other manifest kind
+        fails loudly instead of being read as hash routing."""
+        directory = tmp_path / "ranged"
+        directory.mkdir()
+        atomic_write(str(directory / "mrbg.shards"), encode_many([{"router": spec}]))
+        with pytest.raises(StoreError):
+            ShardedMRBGStore.open(str(directory))
+        with pytest.raises(StoreError):
+            ShardedMRBGStore(str(directory), num_shards=2)
 
     def test_open_without_manifest_raises(self, tmp_path):
         with pytest.raises(StoreError):
