@@ -157,23 +157,46 @@ def _natural_order_ok(keys: list, exact: bool = False) -> bool:
     return False
 
 
+def keys_groupable(keys: list) -> bool:
+    """True when a dict can group ``keys`` losslessly, natively ordered.
+
+    Grouping through a dict merges ``==``-equal keys, which is only safe
+    when equal keys are indistinguishable; the exact type scan of
+    :func:`_natural_order_ok` proves that for a single class among
+    ``int``/``str``/``bytes`` and same-arity tuples of those, whose native
+    order is then also :func:`sort_key` order.
+    """
+    return _natural_order_ok(keys, exact=True)
+
+
 def group_records(records: Sequence[Sequence]) -> Optional[Dict[Any, list]]:
     """Group records by key when a dict can do so losslessly, else ``None``.
 
     Returns ``key -> [records]`` with keys in first-arrival order and each
-    key's records in arrival order.  Grouping through a dict merges
-    ``==``-equal keys, which is only safe when equal keys are
-    indistinguishable; the exact type scan of :func:`_natural_order_ok`
-    proves that for a single class among ``int``/``str``/``bytes`` and
-    same-arity tuples of those.  Any other key set returns ``None`` and
-    the caller keeps working per record.
+    key's records in arrival order.  Any key set :func:`keys_groupable`
+    refuses returns ``None`` and the caller keeps working per record.
     """
     keys = list(map(_ITEM0, records))
-    if not _natural_order_ok(keys, exact=True):
+    if not keys_groupable(keys):
         return None
     groups: Dict[Any, list] = defaultdict(list)
     for key, record in zip(keys, records):
         groups[key].append(record)
+    return dict(groups)
+
+
+def group_values(pairs: Sequence[Tuple[Any, Any]]) -> Optional[Dict[Any, list]]:
+    """:func:`group_records` of ``(key, value)`` pairs, keeping only values.
+
+    Returns ``key -> [values]`` (keys in first-arrival order, values in
+    arrival order) in one pass, or ``None`` when :func:`keys_groupable`
+    refuses the keys.
+    """
+    if not keys_groupable(list(map(_ITEM0, pairs))):
+        return None
+    groups: Dict[Any, list] = defaultdict(list)
+    for key, value in pairs:
+        groups[key].append(value)
     return dict(groups)
 
 

@@ -17,11 +17,14 @@ through to the original chain with identical results.
 
 from __future__ import annotations
 
-from operator import itemgetter
-from typing import Any, Iterable, Sequence, Tuple
+from itertools import accumulate, chain
+from operator import add, itemgetter, mul
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 _LEN_PREFIX = 4  # u32 length prefix on records
 _TAG = 1
+#: Bytes of a str/bytes/tuple/list value besides its items: tag + u32 length.
+_HEADER = _TAG + 4
 #: Bytes of a record besides its key and value: length prefix + pair header.
 _RECORD_OVERHEAD = _LEN_PREFIX + _TAG + 4
 _ITEM1 = itemgetter(1)
@@ -121,19 +124,99 @@ def values_size(values: Sequence) -> int:
     """Total :func:`value_size` of ``values``.
 
     One multiplication when a C-level type scan finds a single
-    constant-size scalar class (the ``(word, 1)`` shape), else a sum.
+    constant-size scalar class (the ``(word, 1)`` shape), else the sum of
+    :func:`column_sizes`.
     """
     kinds = set(map(type, values))
     if len(kinds) == 1:
         scalar = _SCALAR_SIZES.get(kinds.pop())
         if scalar is not None:
             return scalar * len(values)
-    return sum(map(value_size, values))
+    return sum(column_sizes(values))
 
 
 def columns_size(keys: Sequence, values: Sequence) -> int:
     """:func:`records_size` of ``zip(keys, values)``, column by column."""
     return len(keys) * _RECORD_OVERHEAD + values_size(keys) + values_size(values)
+
+
+def _column_parts(column: Sequence) -> Tuple[int, List[List[int]]]:
+    """:func:`value_size` of every item of ``column`` as ``(const, parts)``.
+
+    Item ``i`` is ``const + sum(part[i] for part in parts)``.  A C-level
+    type scan picks the path: a constant for a single scalar class, a
+    ``len`` column for ``bytes`` and for ``str`` once one joined
+    ``isascii`` proves every item ASCII, and a recursion per position for
+    same-arity tuples.  Anything else (mixed classes, subclasses, ragged
+    tuples, non-ASCII text, unknown classes) is sized item by item.
+    """
+    kinds = set(map(type, column))
+    if len(kinds) == 1:
+        kind = kinds.pop()
+        scalar = _SCALAR_SIZES.get(kind)
+        if scalar is not None:
+            return scalar, []
+        if kind is bytes or (kind is str and "".join(column).isascii()):
+            return _HEADER, [list(map(len, column))]
+        if kind is tuple:
+            arities = set(map(len, column))
+            if len(arities) == 1:
+                const = _HEADER
+                parts: List[List[int]] = []
+                for j in range(arities.pop()):
+                    item_const, item_parts = _column_parts(list(map(itemgetter(j), column)))
+                    const += item_const
+                    parts += item_parts
+                return const, parts
+    return 0, [list(map(value_size, column))]
+
+
+def _sum_parts(n: int, parts: List[List[int]]) -> List[int]:
+    """Elementwise sum of ``parts`` (``n`` zeros when there are none)."""
+    if not parts:
+        return [0] * n
+    total = parts[0]
+    for part in parts[1:]:
+        total = list(map(add, total, part))
+    return total
+
+
+def column_sizes(column: Sequence) -> List[int]:
+    """:func:`value_size` of every item of ``column``, column at a time."""
+    const, parts = _column_parts(column)
+    if not parts:
+        return [const] * len(column)
+    return list(map(const.__add__, _sum_parts(len(column), parts)))
+
+
+def record_size_totals(keys: Sequence, values: Sequence) -> List[int]:
+    """Running totals of :func:`record_size` over ``zip(keys, values)``.
+
+    Entry ``i`` is the bytes of records ``0..i``.  Sized by column, with
+    the per-record constant added once per total rather than per column.
+    """
+    key_const, key_parts = _column_parts(keys)
+    value_const, value_parts = _column_parts(values)
+    const = _RECORD_OVERHEAD + key_const + value_const
+    steps = range(const, const * (len(keys) + 1), const)
+    parts = key_parts + value_parts
+    if not parts:
+        return list(steps)
+    return list(map(add, accumulate(_sum_parts(len(keys), parts)), steps))
+
+
+def grouped_values_size(groups: Dict[Any, Sequence]) -> int:
+    """:func:`records_size` of ``key -> [values]`` groups, each key sized once.
+
+    Equals ``records_size`` over ``(key, value)`` for every value of
+    every group.
+    """
+    counts = list(map(len, groups.values()))
+    return (
+        sum(counts) * _RECORD_OVERHEAD
+        + sum(map(mul, counts, column_sizes(list(groups))))
+        + values_size(list(chain.from_iterable(groups.values())))
+    )
 
 
 def grouped_records_size(

@@ -10,13 +10,20 @@ charges match what the real binary encoder would produce.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.common import config
 from repro.common.errors import FileAlreadyExists, FileNotFoundInDFS
-from repro.common.sizeof import record_size
+from repro.common.sizeof import record_size_totals
+
+_ITEM0 = itemgetter(0)
+_ITEM1 = itemgetter(1)
+_TUPLE_ONLY = frozenset((tuple,))
+_PAIR_ONLY = frozenset((2,))
 
 
 @dataclass
@@ -84,23 +91,34 @@ class DistributedFS:
     ) -> DFSFile:
         """Write ``records`` to ``path``, splitting into placed blocks.
 
+        A block is sealed as soon as its records reach ``block_size``
+        bytes.  Records are sized column by column
+        (:func:`~repro.common.sizeof.record_size_totals`, the bytes of
+        :func:`~repro.common.sizeof.record_size`) and blocks are cut from
+        the running totals, so no Python loop runs per record.
+
         Raises:
             FileAlreadyExists: if the path exists and ``overwrite`` is False.
         """
         if path in self._files and not overwrite:
             raise FileAlreadyExists(path)
+        recs = records if type(records) is list else list(records)
+        if set(map(type, recs)) - _TUPLE_ONLY or set(map(len, recs)) - _PAIR_ONLY:
+            recs = [(key, value) for key, value in recs]
+        ends = record_size_totals(list(map(_ITEM0, recs)), list(map(_ITEM1, recs)))
         dfs_file = DFSFile(path=path)
-        current: List[Tuple[Any, Any]] = []
-        current_size = 0
-        for key, value in records:
-            current.append((key, value))
-            current_size += record_size(key, value)
-            if current_size >= self.block_size:
-                dfs_file.blocks.append(self._seal_block(current, current_size))
-                current = []
-                current_size = 0
-        if current or not dfs_file.blocks:
-            dfs_file.blocks.append(self._seal_block(current, current_size))
+        start = 0
+        base = 0
+        while True:
+            end = bisect_left(ends, base + self.block_size, start)
+            if end == len(recs):
+                break
+            dfs_file.blocks.append(self._seal_block(recs[start:end + 1], ends[end] - base))
+            base = ends[end]
+            start = end + 1
+        if start < len(recs) or not dfs_file.blocks:
+            total = ends[-1] if ends else 0
+            dfs_file.blocks.append(self._seal_block(recs[start:], total - base))
         self._files[path] = dfs_file
         return dfs_file
 

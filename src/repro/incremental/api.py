@@ -9,6 +9,7 @@
 
 from __future__ import annotations
 
+import operator
 from typing import Any, Iterable, List, Tuple
 
 from repro.common.errors import DeltaDecodeError
@@ -42,9 +43,9 @@ class AccumulatorReducer(Reducer):
 class SumReducer(AccumulatorReducer):
     """Integer/float sum — WordCount's accumulator (§3.5)."""
 
-    def accumulate(self, old: Any, new: Any) -> Any:
-        """``old + new``."""
-        return old + new
+    #: ``old + new``, as C-level :func:`operator.add`: a fold over a
+    #: group's values then runs without a Python frame per value.
+    accumulate = staticmethod(operator.add)
 
 
 class MaxReducer(AccumulatorReducer):

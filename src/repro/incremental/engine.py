@@ -20,17 +20,19 @@ Reduce outputs and folds insert-only deltas in with ``accumulate``.
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import reduce
+from itertools import chain
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.metrics import Counters, JobMetrics
 from repro.common.errors import InvalidJobConf, JobError
 from repro.common.hashing import map_key
-from repro.common.kvpair import Op, group_sorted, merge_sorted_runs, sort_key
-from repro.common.sizeof import record_size
+from repro.common.kvpair import Op, group_sorted, keys_groupable, merge_sorted_runs
+from repro.common.sizeof import columns_size, record_size
 from repro.incremental.api import AccumulatorReducer
 from repro.incremental.state import PreservedJobState
 from repro.mapreduce.api import Context, Mapper, Reducer
-from repro.mapreduce.engine import MapReduceEngine
+from repro.mapreduce.engine import MapReduceEngine, MapTaskOutput, sorted_run
 from repro.mapreduce.job import JobConf, JobResult
 from repro.mrbgraph.graph import DeltaEdge, Edge
 
@@ -415,7 +417,7 @@ class IncrMREngine(MapReduceEngine):
         self.dfs.write(staging, plain_records, overwrite=True)
         splits = self.splits_for_inputs([staging])
         delta_conf = replace(jobconf, inputs=[staging])
-        map_result = self.map_phase(delta_conf, splits)
+        map_result = self.map_phase(delta_conf, splits, fold=True)
 
         metrics = JobMetrics()
         metrics.times.startup = cost.job_startup_s
@@ -427,10 +429,11 @@ class IncrMREngine(MapReduceEngine):
         sort_loads = [0.0] * workers
         reduce_loads = [0.0] * workers
         changed_output_bytes = 0
+        fold = _foldable(map_result.tasks)
 
         for part in range(jobconf.num_reducers):
             worker = self.reduce_worker(part)
-            runs: List[List[Tuple[Any, Any]]] = []
+            runs: List[Any] = []
             fetch_s = 0.0
             for task in map_result.tasks:
                 pairs = task.partitions.get(part)
@@ -447,22 +450,25 @@ class IncrMREngine(MapReduceEngine):
             shuffle_loads[worker] += fetch_s
             if not runs:
                 continue
-            merged = merge_sorted_runs(runs)
-            sort_loads[worker] += cost.sort_time(len(merged))
 
             reducer = jobconf.reducer()
-            groups = 0
-            for k2, values in group_sorted(merged):
-                acc = values[0]
-                for value in values[1:]:
-                    acc = reducer.accumulate(acc, value)
-                old = state.acc_outputs.get(k2)
+            if fold:
+                num_records, folded = _fold_groups(runs, reducer.accumulate)
+            else:
+                num_records, folded = _fold_sorted(runs, reducer.accumulate)
+            sort_loads[worker] += cost.sort_time(num_records)
+            keys: List[Any] = []
+            news: List[Any] = []
+            acc_outputs = state.acc_outputs
+            for k2, acc in folded:
+                old = acc_outputs.get(k2)
                 new = acc if old is None else reducer.accumulate(old, acc)
-                state.acc_outputs[k2] = new
-                changed_output_bytes += record_size(k2, new)
-                groups += 1
-            metrics.counters.add("affected_reduce_instances", groups)
-            reduce_loads[worker] += cost.cpu_time(len(merged), reducer.cpu_weight)
+                acc_outputs[k2] = new
+                keys.append(k2)
+                news.append(new)
+            changed_output_bytes += columns_size(keys, news)
+            metrics.counters.add("affected_reduce_instances", len(keys))
+            reduce_loads[worker] += cost.cpu_time(num_records, reducer.cpu_weight)
 
         metrics.times.shuffle = max(shuffle_loads)
         metrics.times.sort = max(sort_loads)
@@ -473,3 +479,49 @@ class IncrMREngine(MapReduceEngine):
 
         self.dfs.write(jobconf.output, state.result_records(), overwrite=True)
         return JobResult(output=jobconf.output, metrics=metrics)
+
+
+def _foldable(tasks: List[MapTaskOutput]) -> bool:
+    """Whether an accumulator refresh may fold its fold spills as they are.
+
+    Every spilled partition must be a fold spill, and the refresh's keys
+    together must pass :func:`~repro.common.kvpair.keys_groupable`: one
+    class, so a dict merges exactly the keys the sorted merge groups and
+    native order is shuffle order.  Otherwise the whole refresh takes
+    the sorted path.
+    """
+    spills = [part for task in tasks for part in task.partitions.values()]
+    if any(type(spill) is not dict for spill in spills):
+        return False
+    return keys_groupable(list(chain.from_iterable(spills)))
+
+
+def _fold_groups(
+    runs: List[Dict[Any, List[Any]]], accumulate: Callable[[Any, Any], Any]
+) -> Tuple[int, List[Tuple[Any, Any]]]:
+    """Fold one partition's fold spills: ``(records, [(K2, acc)] key-sorted)``.
+
+    Runs are visited in task order and each key's values left to right —
+    the per-key order of the stable sorted merge — so every ``acc`` is
+    bit-identical to folding that merge's group.
+    """
+    folded: Dict[Any, Any] = {}
+    num_records = 0
+    for groups in runs:
+        num_records += sum(map(len, groups.values()))
+        for key, values in groups.items():
+            if key in folded:
+                folded[key] = reduce(accumulate, values, folded[key])
+            else:
+                folded[key] = reduce(accumulate, values)
+    return num_records, [(key, folded[key]) for key in sorted(folded)]
+
+
+def _fold_sorted(
+    runs: List[Any], accumulate: Callable[[Any, Any], Any]
+) -> Tuple[int, List[Tuple[Any, Any]]]:
+    """:func:`_fold_groups` through the sorted merge, for any key set."""
+    merged = merge_sorted_runs([sorted_run(run) for run in runs])
+    return len(merged), [
+        (key, reduce(accumulate, values)) for key, values in group_sorted(merged)
+    ]

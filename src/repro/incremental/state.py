@@ -14,7 +14,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.costmodel import CostModel
 from repro.common import config
-from repro.common.kvpair import sort_key
+from repro.common.kvpair import sort_records
 from repro.mrbgraph.sharding import ShardedMRBGStore, StoreLike
 from repro.mrbgraph.store import MRBGStore, StoreMetrics
 from repro.mrbgraph.windows import MultiDynamicWindowPolicy, WindowPolicy
@@ -182,10 +182,10 @@ class PreservedJobState:
     def result_records(self) -> List[Tuple[Any, Any]]:
         """The job's full current output, in deterministic key order."""
         if self.accumulator:
-            return sorted(self.acc_outputs.items(), key=lambda kv: sort_key(kv[0]))
+            return sort_records(self.acc_outputs.items())
         records: List[Tuple[Any, Any]] = []
-        for key in sorted(self.outputs, key=sort_key):
-            records.extend(self.outputs[key])
+        for _, outputs in sort_records(self.outputs.items()):
+            records.extend(outputs)
         return records
 
     # ------------------------------------------------------------------ #

@@ -34,8 +34,19 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.metrics import Counters, JobMetrics, StageTimes
 from repro.cluster.scheduler import TaskSpec, schedule_stage
 from repro.common.errors import PartitionOutOfRange
-from repro.common.kvpair import group_records, group_sorted, merge_sorted_runs, sort_records
-from repro.common.sizeof import grouped_records_size, record_size, records_size
+from repro.common.kvpair import (
+    group_records,
+    group_sorted,
+    group_values,
+    merge_sorted_runs,
+    sort_records,
+)
+from repro.common.sizeof import (
+    grouped_records_size,
+    grouped_values_size,
+    record_size,
+    records_size,
+)
 from repro.dfs.filesystem import Block, DistributedFS
 from repro.execution import ExecutionBackend, ExecutorSelector, ExecutorSpec
 from repro.mapreduce.api import Context, Mapper, Partitioner, Reducer
@@ -70,8 +81,9 @@ class MapTaskOutput:
 
     task_index: int
     worker: int
-    #: partition index -> key-sorted list of (K2, V2)
-    partitions: Dict[int, List[Tuple[Any, Any]]]
+    #: partition index -> key-sorted list of (K2, V2), or, from a fold
+    #: spill, a first-seen-ordered ``K2 -> [V2]`` dict (see :func:`sorted_run`)
+    partitions: Dict[int, Any]
     partition_bytes: Dict[int, int]
     cost_s: float
 
@@ -112,6 +124,9 @@ class MapTaskPayload:
     num_reducers: int
     partitioner: Partitioner
     combiner_factory: Optional[ReducerFactory] = None
+    #: spill ``K2 -> [V2]`` groups unsorted when the keys allow it (see
+    #: :func:`partition_and_sort`); set by engines whose reduce side folds.
+    fold: bool = False
 
 
 @dataclass
@@ -119,7 +134,7 @@ class MapTaskRun:
     """What one map task hands back to the engine."""
 
     task_index: int
-    partitions: Dict[int, List[Tuple[Any, Any]]]
+    partitions: Dict[int, Any]
     partition_bytes: Dict[int, int]
     counters: Counters
     #: pre-combiner emission count (what the map-side sort is charged on).
@@ -152,6 +167,7 @@ def execute_map_task(payload: MapTaskPayload) -> MapTaskRun:
         payload.partitioner,
         payload.combiner_factory,
         counters,
+        payload.fold,
     )
     counters.add("map_spill_bytes", sum(partition_bytes.values()))
     return MapTaskRun(
@@ -170,7 +186,8 @@ def partition_and_sort(
     partitioner: Partitioner,
     combiner_factory: Optional[ReducerFactory],
     counters: Counters,
-) -> Tuple[Dict[int, List[Tuple[Any, Any]]], Dict[int, int]]:
+    fold: bool = False,
+) -> Tuple[Dict[int, Any], Dict[int, int]]:
     """Map-side spill: partition, key-sort and (optionally) combine.
 
     Partitioning, ordering and key sizing depend on the key alone, so they
@@ -180,9 +197,18 @@ def partition_and_sort(
     and flatten to the same ``(key, value)`` list, values of one key in
     arrival order and partitions in first-seen order.
 
+    With ``fold`` and no combiner, when :func:`group_values` can group the
+    keys, each partition is instead the unsorted ``K2 -> [V2]`` dict of its
+    keys (first-seen order, values in arrival order) for a reduce side
+    that folds rather than merges; its bytes are the same.
+
     Raises:
         PartitionOutOfRange: the partitioner left ``range(num_reducers)``.
     """
+    if fold and combiner_factory is None:
+        value_groups = group_values(emitted)
+        if value_groups is not None:
+            return _partition_groups(value_groups, num_reducers, partitioner)
     groups = group_records(emitted)
     units_by_part: Dict[int, list] = {}
     for unit in emitted if groups is None else groups.items():
@@ -207,6 +233,40 @@ def partition_and_sort(
             partition_bytes[part] = grouped_records_size(units)
         partitions[part] = pairs
     return partitions, partition_bytes
+
+
+def _partition_groups(
+    groups: Dict[Any, List[Any]],
+    num_reducers: int,
+    partitioner: Partitioner,
+) -> Tuple[Dict[int, Dict[Any, List[Any]]], Dict[int, int]]:
+    """The fold spill: partition each distinct key once, sort nothing."""
+    partitions: Dict[int, Dict[Any, List[Any]]] = {}
+    for key, values in groups.items():
+        part = partitioner(key, num_reducers)
+        part_groups = partitions.get(part)
+        if part_groups is None:
+            part_groups = partitions[part] = {}
+        part_groups[key] = values
+    for part, part_groups in partitions.items():
+        if part not in range(num_reducers):
+            raise PartitionOutOfRange(next(iter(part_groups)), part, num_reducers)
+    partition_bytes = {
+        part: grouped_values_size(part_groups) for part, part_groups in partitions.items()
+    }
+    return partitions, partition_bytes
+
+
+def sorted_run(partition: Any) -> List[Tuple[Any, Any]]:
+    """A spilled partition as the key-sorted ``(K2, V2)`` run of a sort spill.
+
+    Sort-spill runs pass through; a fold spill's ``K2 -> [V2]`` dict is
+    key-sorted and flattened, exactly the run :func:`partition_and_sort`
+    builds without ``fold``.
+    """
+    if type(partition) is not dict:
+        return partition
+    return [(key, value) for key, values in sort_records(partition.items()) for value in values]
 
 
 def _apply_combiner(
@@ -354,12 +414,14 @@ class MapReduceEngine:
         self,
         jobconf: JobConf,
         splits: Sequence[MapInputSplit],
+        fold: bool = False,
     ) -> MapPhaseResult:
         """Run one map task per split; returns sorted partitioned output.
 
         Tasks execute through the job's execution backend; results are
         merged and costed in task-index order, so the returned phase
-        result is identical across backends.
+        result is identical across backends.  ``fold`` asks for fold
+        spills (:func:`partition_and_sort`); the simulated cost is the same.
         """
         cost = self.cluster.cost_model
         counters = Counters()
@@ -375,6 +437,7 @@ class MapReduceEngine:
                 num_reducers=jobconf.num_reducers,
                 partitioner=jobconf.partitioner,
                 combiner_factory=jobconf.combiner,
+                fold=fold,
             )
             for index, split in enumerate(splits)
         ]

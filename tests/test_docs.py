@@ -7,6 +7,8 @@ here, so a rename that orphans a reference in ``README.md`` or
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import re
 import subprocess
@@ -218,3 +220,26 @@ def test_api_reference_is_fresh():
         cwd=ROOT,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_readme_quickstart_runs_and_prints_the_refresh():
+    """The README quickstart block runs as written and reports the
+    incremental refresh, not the initial run, as "refresh took"."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Quickstart", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    namespace: dict = {"__name__": "readme_quickstart"}
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            exec(compile(code, "README.md", "exec"), namespace)
+    finally:
+        if "state" in namespace:
+            namespace["state"].cleanup()
+        if "engine" in namespace:
+            namespace["engine"].close()
+    counts, timing = out.getvalue().splitlines()
+    assert counts == "{'a': 2, 'b': 2, 'c': 3}"
+    refresh = namespace["refresh"]
+    assert "changed_output_bytes" in refresh.metrics.counters.as_dict()  # run_incremental's
+    assert timing == f"refresh took {refresh.total_time:.1f} simulated s"
