@@ -99,8 +99,8 @@ class _ShardOverlay:
         self.changed = changed
         self.base = base
         #: lazy cache of :data:`Columns`, built by the first scan; safe
-        #: to keep across :meth:`flatten` because the mapping never
-        #: changes.
+        #: to keep across :meth:`flatten` because neither the mapping
+        #: nor its key objects change (see :meth:`materialize`).
         self._columns: Optional[Columns] = None
 
     def get(self, key: Any, default: Any = None) -> Any:
@@ -133,7 +133,14 @@ class _ShardOverlay:
         return count
 
     def materialize(self) -> Dict[Any, Any]:
-        """The full ``key -> value`` mapping at this overlay's epoch."""
+        """The full ``key -> value`` mapping at this overlay's epoch.
+
+        A live key keeps the object it was first published as (as the
+        manager's live mirror does); a deletion ends that, so ``-0.0``
+        republished after ``0.0`` was deleted is served as ``-0.0``.
+        Flattening a parent drops its tombstones, and this rule makes
+        that leave every child's key objects as they were.
+        """
         chain: List[Dict[Any, Any]] = []
         node: Optional[_ShardOverlay] = self
         while node is not None:
@@ -142,7 +149,9 @@ class _ShardOverlay:
         merged: Dict[Any, Any] = {}
         for changed in reversed(chain):
             merged.update(changed)
-        return {k: v for k, v in merged.items() if v is not _DELETED}
+            for key in [k for k, v in changed.items() if v is _DELETED]:
+                del merged[key]
+        return merged
 
     def columns(self) -> Columns:
         """This overlay's :data:`Columns`, built from one materialize.
@@ -175,16 +184,7 @@ class _ShardOverlay:
         """
         if self.base is None:
             return
-        chain: List[Dict[Any, Any]] = []
-        node: Optional[_ShardOverlay] = self
-        while node is not None:
-            chain.append(node.changed)
-            node = node.base
-        merged: Dict[Any, Any] = {}
-        for changed in reversed(chain):
-            merged.update(changed)
-        merged = {k: v for k, v in merged.items() if v is not _DELETED}
-        self.changed = merged
+        self.changed = self.materialize()
         self.base = None
 
 

@@ -542,6 +542,22 @@ def test_flattening_keeps_built_columns_valid():
     assert snap.range_scan("w00", "w19") == before == _reference_range_scan(snap, "w00", "w19")
 
 
+def test_flattening_a_tombstone_keeps_the_republished_key():
+    """``-0.0`` republished after ``0.0`` was deleted is served as ``-0.0``
+    before and after the tombstone's overlay is flattened away; a live
+    key keeps the object it was first published as."""
+    manager = EpochManager(num_shards=1, retain=3, collapse_depth=1)
+    manager.publish({0.0: 0})
+    assert repr(manager.publish({-0.0: 1}).range_scan(-1.0, 1.0)) == "[(0.0, 1)]"
+    manager.publish({})
+    snap = manager.publish({-0.0: 0})
+    assert repr(snap.range_scan(-1.0, 1.0)) == "[(-0.0, 0)]"
+    manager.publish({-0.0: 0, 1.0: 1})
+    assert snap._overlays[0].base.base is None  # the tombstone was flattened
+    assert repr(snap.range_scan(-1.0, 1.0)) == "[(-0.0, 0)]"
+    assert repr(_reference_range_scan(snap, -1.0, 1.0)) == "[(-0.0, 0)]"
+
+
 def test_columns_build_once_per_scanned_overlay(monkeypatch):
     sized = []
     real_record_size = epochs.record_size
