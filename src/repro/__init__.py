@@ -92,7 +92,6 @@ from repro.mrbgraph import HashShardRouter, MRBGStore, ShardedMRBGStore
 from repro.serving import (
     EpochManager,
     EpochSnapshot,
-    LoadGenerator,
     QueryMix,
     QueryResult,
     QueryServer,
@@ -161,7 +160,6 @@ __all__ = [
     "ShardedMRBGStore",
     "EpochManager",
     "EpochSnapshot",
-    "LoadGenerator",
     "QueryMix",
     "QueryResult",
     "QueryServer",

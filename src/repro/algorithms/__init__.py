@@ -7,7 +7,6 @@ from repro.algorithms.base import (
     PlainFormulation,
 )
 from repro.algorithms.gimv import GIMV
-from repro.algorithms.gimv_cc import GIMVConnectedComponents
 from repro.algorithms.kmeans import Kmeans
 from repro.algorithms.pagerank import PageRank
 from repro.algorithms.sssp import SSSP
@@ -25,7 +24,6 @@ __all__ = [
     "IterativeAlgorithm",
     "PlainFormulation",
     "GIMV",
-    "GIMVConnectedComponents",
     "Kmeans",
     "PageRank",
     "SSSP",

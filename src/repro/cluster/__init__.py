@@ -3,7 +3,6 @@
 from repro.cluster.cluster import Cluster
 from repro.cluster.costmodel import CostModel, zero_overhead_model
 from repro.cluster.metrics import Counters, JobMetrics, StageTimes
-from repro.cluster.skew import MitigatedSchedule, schedule_with_skew_mitigation
 
 __all__ = [
     "Cluster",
@@ -12,6 +11,4 @@ __all__ = [
     "Counters",
     "JobMetrics",
     "StageTimes",
-    "MitigatedSchedule",
-    "schedule_with_skew_mitigation",
 ]

@@ -19,8 +19,8 @@ assignment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 from repro.cluster.costmodel import CostModel
 
@@ -91,74 +91,6 @@ def schedule_stage(
                     misses += 1
         loads[worker] += cost
         assignment[task.task_id] = worker
-
-    elapsed = max(loads) if loads else 0.0
-    return ScheduleResult(
-        elapsed_s=elapsed,
-        assignment=assignment,
-        worker_loads=loads,
-        locality_hits=hits,
-        locality_misses=misses,
-    )
-
-
-def reschedule_failed_tasks(
-    failed: Sequence[Tuple["ShardTaskSpec", int]],
-    placement: "ShardPlacement",
-    cost_model: Optional[CostModel] = None,
-    blacklisted: Sequence[int] = (),
-    task_overhead_s: float = 0.0,
-) -> ScheduleResult:
-    """Place the re-executions of failed shard-stage tasks.
-
-    Failed shard tasks are re-scheduled with the same ownership-locality
-    preference as :func:`schedule_shard_stage` — a retry still wants the
-    worker holding the shard's files — with two fault-tolerance twists:
-
-    - each re-execution first waits out its simulated retry backoff
-      (:meth:`~repro.cluster.costmodel.CostModel.task_retry_backoff_time`
-      for the attempt ordinal), which extends that worker's busy time;
-    - ``blacklisted`` workers take no tasks at all; a shard owned by a
-      blacklisted worker always pays the cross-shard transfer.
-
-    Args:
-        failed: ``(spec, attempts)`` pairs — the failed task and how many
-            attempts it has already consumed (the backoff ordinal).
-        placement: shard-ownership map of the store being maintained.
-        cost_model: charges backoff and cross-shard transfer times.
-        blacklisted: simulated workers excluded from placement.
-        task_overhead_s: per-task scheduling/launch overhead.
-
-    Returns:
-        A :class:`ScheduleResult` whose ``elapsed_s`` is the retry
-        round's simulated completion time (backoff included).
-    """
-    model = cost_model or CostModel()
-    dead = set(w % placement.num_workers for w in blacklisted)
-    live = [w for w in range(placement.num_workers) if w not in dead]
-    if not live:
-        raise ValueError("every worker is blacklisted; nothing can run")
-    loads = [0.0] * placement.num_workers
-    assignment: Dict[str, int] = {}
-    hits = 0
-    misses = 0
-
-    ordered = sorted(failed, key=lambda item: (-item[0].cost_s, item[0].task_id))
-    for spec, attempts in ordered:
-        backoff = model.task_retry_backoff_time(max(attempts - 1, 0))
-        cost = spec.cost_s + task_overhead_s + backoff
-        owner = placement.owner(spec.shard_id)
-        penalty = model.cross_shard_read_time(spec.read_bytes)
-        global_best = min(live, key=lambda w: loads[w])
-        if owner in dead or loads[owner] - loads[global_best] > cost + penalty:
-            worker = global_best
-            cost += penalty
-            misses += 1
-        else:
-            worker = owner
-            hits += 1
-        loads[worker] += cost
-        assignment[spec.task_id] = worker
 
     elapsed = max(loads) if loads else 0.0
     return ScheduleResult(

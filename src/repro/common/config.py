@@ -68,6 +68,16 @@ def _env_flag(name: str, default: bool) -> bool:
     )
 
 
+#: Canonical host execution backend names (see :mod:`repro.execution`).
+EXECUTOR_NAMES = ("serial", "thread", "process")
+
+
+def _parse_executor(raw: str) -> str:
+    if raw not in EXECUTOR_NAMES:
+        raise ValueError(raw)
+    return raw
+
+
 def _parse_fraction(raw: str) -> float:
     value = float(raw)
     if not 0.0 <= value <= 1.0:  # also rejects nan
@@ -140,22 +150,6 @@ DEFAULT_REPLICATION = 3
 #: environment variable.
 DEFAULT_TASK_RETRIES = _env_int("REPRO_TASK_RETRIES", 2)
 
-#: Default per-attempt host-side task timeout in seconds; an attempt
-#: running longer is a *straggler* (speculation may duplicate it).
-#: ``None`` disables straggler detection.  Overridable via the
-#: ``REPRO_TASK_TIMEOUT`` environment variable.
-DEFAULT_TASK_TIMEOUT_S = _env_float("REPRO_TASK_TIMEOUT")
-
-#: Whether straggler tasks are speculatively re-executed with
-#: first-result-wins semantics (safe because task payloads are pure).
-#: Off by default; overridable via the ``REPRO_SPECULATION``
-#: environment variable.
-DEFAULT_SPECULATION = _env_flag("REPRO_SPECULATION", False)
-
-#: Consecutive failures on one simulated worker before the resilient
-#: executor blacklists it (tasks re-route to the remaining workers).
-DEFAULT_BLACKLIST_AFTER = _env_int("REPRO_BLACKLIST_AFTER", 3)
-
 #: Chaos-testing seed: when set (``REPRO_CHAOS_SEED``), every resilient
 #: executor injects deterministic pseudo-random transient task failures
 #: at rate :data:`CHAOS_RATE` — outputs must stay byte-identical, which
@@ -195,7 +189,9 @@ DEFAULT_SERVING_TIMEOUT_S = _env_float("REPRO_SERVING_TIMEOUT")
 #: (``"serial"`` / ``"thread"`` / ``"process"``); see
 #: :mod:`repro.execution`.  Overridable per job via ``JobConf.executor``
 #: or globally via the ``REPRO_EXECUTOR`` environment variable.
-DEFAULT_EXECUTOR = os.environ.get("REPRO_EXECUTOR", "serial")
+DEFAULT_EXECUTOR = _env_value(
+    "REPRO_EXECUTOR", "serial", _parse_executor, f"one of {EXECUTOR_NAMES}"
+)
 
 #: Default worker cap for pool backends; ``None`` means one worker per
 #: host CPU.  Overridable via the ``REPRO_MAX_WORKERS`` environment

@@ -208,10 +208,10 @@ class ServingError(ReproError):
 class QueryTimeout(ServingError):
     """A query's simulated read cost exceeded its timeout budget.
 
-    The serving layer reuses :class:`repro.resilience.RetryPolicy`'s
-    ``timeout_s`` as a per-query deadline on the *simulated* clock: a
-    query whose charged read cost comes out above the deadline raises
-    this instead of returning (the client would have given up).
+    :class:`repro.serving.QueryServer`'s ``timeout_s`` is a per-query
+    deadline on the *simulated* clock: a query whose charged read cost
+    comes out above the deadline raises this instead of returning (the
+    client would have given up).
     """
 
     def __init__(self, query: str, cost_s: float, timeout_s: float) -> None:

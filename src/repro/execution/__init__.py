@@ -40,7 +40,7 @@ BACKENDS = {
 }
 
 #: Canonical backend names, for error messages and validation.
-EXECUTOR_NAMES = ("serial", "thread", "process")
+EXECUTOR_NAMES = config.EXECUTOR_NAMES
 
 #: What callers may pass wherever an executor is selected.
 ExecutorSpec = Union[None, str, ExecutionBackend]
@@ -89,11 +89,11 @@ class ExecutorSelector:
     max_workers)`` and shut down together by :meth:`close`; backends the
     caller constructed are passed through and never closed here.
 
-    When a job carries a :class:`repro.resilience.RetryPolicy` (see
-    :meth:`get`'s ``resilience`` argument), the selector wraps the
-    cached backend in a :class:`repro.resilience.ResilientExecutor` —
-    one wrapper per ``(name, max_workers, policy)``, sharing the
-    underlying pool — and refreshes the wrapper's ``fault_hook`` from
+    When a job asks for retries (see :meth:`get`'s ``max_retries``
+    argument), the selector wraps the cached backend in a
+    :class:`repro.resilience.ResilientExecutor` — one wrapper per
+    ``(name, max_workers, max_retries)``, sharing the underlying pool —
+    and refreshes the wrapper's ``fault_hook`` from
     :attr:`task_fault_hook` on every call.
     """
 
@@ -112,17 +112,16 @@ class ExecutorSelector:
         self,
         spec: ExecutorSpec = None,
         max_workers: Optional[int] = None,
-        resilience=None,
+        max_retries: Optional[int] = None,
     ) -> ExecutionBackend:
         """Backend for one job: ``spec`` wins, then the engine default.
 
         Args:
             spec: backend name, live backend, or ``None`` for the default.
             max_workers: worker cap for pool backends.
-            resilience: a :class:`repro.resilience.RetryPolicy` to
-                enforce — the returned backend is then a
-                :class:`repro.resilience.ResilientExecutor` wrapping the
-                cached pool.  ``None`` returns the raw backend.
+            max_retries: per-task retry budget to enforce — the returned
+                backend is then a :class:`repro.resilience.ResilientExecutor`
+                wrapping the cached pool.  ``None`` returns the raw backend.
         """
         spec = spec if spec is not None else self._default
         if isinstance(spec, ExecutionBackend):
@@ -133,16 +132,16 @@ class ExecutorSelector:
         if backend is None:
             backend = resolve_executor(name, max_workers)
             self._cache[key] = backend
-        if resilience is None:
+        if max_retries is None:
             return backend
         from repro.resilience.executor import ResilientExecutor
 
-        wrapper_key = (name, max_workers, resilience)
+        wrapper_key = (name, max_workers, max_retries)
         wrapper = self._wrappers.get(wrapper_key)
         if wrapper is None:
             wrapper = ResilientExecutor(
                 backend,
-                policy=resilience,
+                max_retries=max_retries,
                 cost_model=self.cost_model,
                 fault_hook=self.task_fault_hook,
             )
@@ -158,13 +157,15 @@ class ExecutorSelector:
         ``JobConf`` or an ``IterativeJob``: its ``executor``
         / ``max_workers`` pick the pool, and the pool comes wrapped in a
         :class:`repro.resilience.ResilientExecutor` enforcing the job's
-        retry/timeout/speculation knobs (environment defaults where the
-        job sets none).
+        ``task_retries`` (``REPRO_TASK_RETRIES`` when the job sets none).
         """
-        from repro.resilience.policy import RetryPolicy
-
+        retries = conf.task_retries
         return self.get(
-            conf.executor, conf.max_workers, resilience=RetryPolicy.for_job(conf)
+            conf.executor,
+            conf.max_workers,
+            max_retries=(
+                config.DEFAULT_TASK_RETRIES if retries is None else retries
+            ),
         )
 
     def close(self) -> None:

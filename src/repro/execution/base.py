@@ -42,13 +42,9 @@ class ExecutorStats:
     #: Failed attempts that were re-executed (each charged simulated
     #: backoff into :attr:`sim_backoff_s`).
     retries: int = 0
-    #: Straggler speculations whose duplicate finished first.
-    speculative_wins: int = 0
     #: Batches completed on a lower rung of the degradation ladder
     #: (process → thread → serial) after a pool died mid-batch.
     degraded_batches: int = 0
-    #: Simulated workers blacklisted after repeated failures.
-    workers_blacklisted: int = 0
     #: Total *simulated* seconds of retry backoff — a dedicated account,
     #: never folded into the paper's stage times (fault-free metrics stay
     #: byte-identical under any fault schedule).

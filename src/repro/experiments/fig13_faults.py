@@ -99,33 +99,6 @@ def run_fig13(scale: str = "small", seed: int = 7, iterations: int = 7) -> Exper
     )
 
 
-def run_fig13_timeline(scale: str = "test", seed: int = 7, iterations: int = 7):
-    """Full task timeline (the Fig 13 scatter) for examples and tests."""
-    params = scale_params(scale)
-    graph = powerlaw_web_graph(
-        params["pagerank_vertices"], 8.0, seed=seed, payload_bytes=100
-    )
-    algorithm = PageRank()
-    cluster, dfs = make_cluster(
-        num_workers=8,
-        seed=seed,
-        data_scale=data_scale_for("pagerank", graph.num_vertices),
-    )
-    injector = FaultInjector(
-        [
-            FaultSpec(iteration=2, stage="map", task_index=3, at_fraction=0.5),
-            FaultSpec(iteration=4, stage="reduce", task_index=9, at_fraction=0.5),
-        ]
-    )
-    context = FaultContext(injector)
-    IterMREngine(cluster, dfs).run(
-        IterativeJob(algorithm, graph, num_partitions=16,
-                     max_iterations=iterations),
-        fault_context=context,
-    )
-    return context.timeline
-
-
 def main() -> None:
     """CLI entry point: print the fig-13 fault-tolerance table."""
     print(run_fig13().to_text())

@@ -18,7 +18,7 @@ The resulting :class:`Timeline` is exactly what Fig 13 plots.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence
+from typing import Sequence
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.metrics import StageTimes
@@ -121,9 +121,7 @@ class FaultContext:
             if fault is None:
                 return None
             self.task_fault_log.append((task_index, occurrence, fault.kind))
-            return TaskFaultDirective(
-                kind=fault.kind, slow_s=fault.slow_s, occurrence=occurrence
-            )
+            return TaskFaultDirective(kind=fault.kind, occurrence=occurrence)
 
         return hook
 

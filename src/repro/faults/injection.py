@@ -36,7 +36,7 @@ VALID_CRASH_POINTS = (
 )
 
 #: Fault kinds the ``"task"`` stage can inject into executor task attempts.
-VALID_TASK_FAULT_KINDS = ("transient", "worker-kill", "slowdown")
+VALID_TASK_FAULT_KINDS = ("transient", "worker-kill")
 
 
 class InjectedTaskFault(Exception):
@@ -123,15 +123,12 @@ class TaskFaultDirective:
             raises :class:`InjectedTaskFault` before the user function
             runs (retryable), ``"worker-kill"`` takes the executing
             worker down (``os._exit`` in a real pool child, otherwise
-            :class:`InjectedWorkerDeath`), ``"slowdown"`` sleeps
-            ``slow_s`` host seconds before running normally (straggler).
-        slow_s: host-clock sleep for ``"slowdown"`` directives.
+            :class:`InjectedWorkerDeath`).
         occurrence: which consult of this task index fired (echoed into
             the resulting exception for diagnostics).
     """
 
     kind: str
-    slow_s: float = 0.0
     occurrence: int = 0
 
 
@@ -145,29 +142,21 @@ class TaskFault:
         occurrence: which *consult* of this task index fires — the
             first attempt of a task is occurrence 0, its first retry is
             occurrence 1, and so on; earlier consults proceed normally.
-        slow_s: for ``"slowdown"`` — how long the attempt sleeps on the
-            host clock before running (long enough to trip a straggler
-            timeout).
     """
 
     kind: str
     task_index: int
     occurrence: int = 0
-    slow_s: float = 0.05
 
     def __post_init__(self) -> None:
         if self.kind not in VALID_TASK_FAULT_KINDS:
             raise ValueError(f"kind must be one of {VALID_TASK_FAULT_KINDS}")
         if self.task_index < 0 or self.occurrence < 0:
             raise ValueError("task_index and occurrence must be non-negative")
-        if self.slow_s < 0:
-            raise ValueError("slow_s must be non-negative")
 
     def directive(self) -> TaskFaultDirective:
         """The plain-data directive handed to the guarded payload."""
-        return TaskFaultDirective(
-            kind=self.kind, slow_s=self.slow_s, occurrence=self.occurrence
-        )
+        return TaskFaultDirective(kind=self.kind, occurrence=self.occurrence)
 
 
 @dataclass(frozen=True)
@@ -222,7 +211,6 @@ class FaultSpec:
             :data:`VALID_TASK_FAULT_KINDS`.  For the ``"task"`` stage
             ``iteration`` is the *consult occurrence* (the Nth attempt
             of the task faults).
-        slow_s: ``"task"`` stage only — host sleep for ``"slowdown"``.
     """
 
     iteration: int
@@ -232,7 +220,6 @@ class FaultSpec:
     crash_point: Optional[str] = None
     byte_offset: Optional[int] = None
     task_kind: Optional[str] = None
-    slow_s: float = 0.05
 
     def __post_init__(self) -> None:
         if self.stage not in VALID_STAGES:
@@ -275,7 +262,6 @@ class FaultSpec:
             kind=self.task_kind,
             task_index=self.task_index,
             occurrence=self.iteration,
-            slow_s=self.slow_s,
         )
 
 

@@ -54,18 +54,3 @@ class Timeline:
         """End time of the last task."""
         return max((event.end for event in self.events), default=0.0)
 
-    def rows(self) -> List[tuple]:
-        """Tabular form for reports: one row per event."""
-        return [
-            (
-                event.task_id,
-                event.kind,
-                event.iteration,
-                event.worker,
-                round(event.start, 2),
-                round(event.end, 2),
-                round(event.failed_at, 2) if event.failed_at is not None else None,
-                round(event.recovery_time, 2) if event.failed else None,
-            )
-            for event in self.events
-        ]

@@ -15,7 +15,7 @@ one-to-one, many-to-one and all-to-one dependencies remain.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.common.errors import InvalidJobConf
@@ -75,11 +75,6 @@ class IterativeJob:
         task_retries: failed task attempts transparently re-executed
             before the failure propagates (``None`` = the
             ``REPRO_TASK_RETRIES`` default).
-        task_timeout_s: host-clock straggler threshold per attempt
-            (``None`` = the ``REPRO_TASK_TIMEOUT`` default).
-        speculation: whether stragglers are speculatively duplicated
-            with first-result-wins semantics (``None`` = the
-            ``REPRO_SPECULATION`` default).
         workset: run workset-driven delta iterations
             (:mod:`repro.iterative.workset`) — each superstep re-maps
             only the dirty frontier and the run terminates on an empty
@@ -98,8 +93,6 @@ class IterativeJob:
     executor: ExecutorSpec = None
     max_workers: Optional[int] = None
     task_retries: Optional[int] = None
-    task_timeout_s: Optional[float] = None
-    speculation: Optional[bool] = None
     workset: Optional[bool] = None
     workset_threshold: Optional[float] = None
 
@@ -124,8 +117,6 @@ class IterativeJob:
             raise InvalidJobConf("max_workers must be positive")
         if self.task_retries is not None and self.task_retries < 0:
             raise InvalidJobConf("task_retries must be non-negative")
-        if self.task_timeout_s is not None and self.task_timeout_s <= 0:
-            raise InvalidJobConf("task_timeout_s must be positive")
         if self.workset_threshold is not None and self.workset_threshold < 0:
             raise InvalidJobConf("workset_threshold must be non-negative")
 

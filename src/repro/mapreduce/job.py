@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.cluster.metrics import JobMetrics
 from repro.common.errors import InvalidJobConf
@@ -39,11 +39,6 @@ class JobConf:
             before the failure propagates (``None`` = the
             ``REPRO_TASK_RETRIES`` default).  Retries charge simulated
             backoff to a dedicated account and never change outputs.
-        task_timeout_s: host-clock straggler threshold per attempt
-            (``None`` = the ``REPRO_TASK_TIMEOUT`` default).
-        speculation: whether stragglers are speculatively duplicated
-            with first-result-wins semantics (``None`` = the
-            ``REPRO_SPECULATION`` default).
     """
 
     name: str
@@ -57,8 +52,6 @@ class JobConf:
     executor: ExecutorSpec = None
     max_workers: Optional[int] = None
     task_retries: Optional[int] = None
-    task_timeout_s: Optional[float] = None
-    speculation: Optional[bool] = None
 
     def validate(self) -> None:
         """Raise :class:`InvalidJobConf` on an unusable configuration."""
@@ -82,8 +75,6 @@ class JobConf:
             raise InvalidJobConf("max_workers must be positive")
         if self.task_retries is not None and self.task_retries < 0:
             raise InvalidJobConf("task_retries must be non-negative")
-        if self.task_timeout_s is not None and self.task_timeout_s <= 0:
-            raise InvalidJobConf("task_timeout_s must be positive")
 
 
 @dataclass

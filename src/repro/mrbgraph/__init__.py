@@ -11,7 +11,6 @@ from repro.mrbgraph.windows import (
     MultiFixedWindowPolicy,
     SingleFixedWindowPolicy,
     WindowPolicy,
-    policy_by_name,
 )
 
 __all__ = [
@@ -33,5 +32,4 @@ __all__ = [
     "MultiFixedWindowPolicy",
     "SingleFixedWindowPolicy",
     "WindowPolicy",
-    "policy_by_name",
 ]

@@ -50,7 +50,6 @@ from repro.cluster.scheduler import (
     ScheduleResult,
     ShardPlacement,
     ShardTaskSpec,
-    reschedule_failed_tasks,
     schedule_shard_stage,
 )
 from repro.common import config
@@ -205,12 +204,6 @@ class ShardedMRBGStore:
         )
         #: placement of the most recent fanned-out maintenance round.
         self.last_schedule: Optional[ScheduleResult] = None
-        #: placement of the most recent round's *re-executed* failed
-        #: tasks (owner-locality-aware, backoff included), or ``None``
-        #: when the round ran fault-free.  Kept separate from
-        #: :attr:`last_schedule` so simulated stage times never change
-        #: under injected faults.
-        self.last_retry_schedule: Optional[ScheduleResult] = None
 
         self._executor_spec = executor
         self._executor = None
@@ -519,8 +512,7 @@ class ShardedMRBGStore:
         sids = [sid for sid, groups in enumerate(per_shard) if groups]
         pairs = [(self._shards[sid], per_shard[sid]) for sid in sids]
         before = [self._shards[sid].metrics.snapshot() for sid in sids]
-        backend = self._backend()
-        results = backend.run_tasks(_run_shard_merge, pairs, picklable=False)
+        results = self._backend().run_tasks(_run_shard_merge, pairs, picklable=False)
 
         specs = []
         for sid, snap in zip(sids, before):
@@ -537,21 +529,6 @@ class ShardedMRBGStore:
             self.last_schedule = schedule_shard_stage(
                 specs, self.placement, self.cost_model
             )
-        # A resilient backend reports which merge tasks needed retries;
-        # their re-executions get a locality-aware retry placement of
-        # their own (the fault-free schedule above is untouched).
-        failures = getattr(backend, "last_batch_failures", None)
-        if failures:
-            failed = [
-                (specs[index], count + 1)
-                for index, count in failures
-                if index < len(specs)
-            ]
-            self.last_retry_schedule = reschedule_failed_tasks(
-                failed, self.placement, self.cost_model
-            )
-        else:
-            self.last_retry_schedule = None
 
         cursors = {sid: iter(res) for sid, res in zip(sids, results)}
         for sid in routed:

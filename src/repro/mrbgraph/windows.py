@@ -22,7 +22,7 @@ Policies only *plan* reads; the store executes them and tracks metrics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Protocol, Sequence, Tuple
+from typing import Protocol, Sequence
 
 from repro.common import config
 
@@ -201,19 +201,3 @@ class MultiDynamicWindowPolicy:
         plan.batch = target.batch
         return plan
 
-
-def policy_by_name(name: str, **kwargs) -> WindowPolicy:
-    """Build a policy from its Table 4 row name."""
-    table = {
-        "index-only": IndexOnlyPolicy,
-        "single-fix-window": SingleFixedWindowPolicy,
-        "multi-fix-window": MultiFixedWindowPolicy,
-        "multi-dynamic-window": MultiDynamicWindowPolicy,
-    }
-    try:
-        cls = table[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown window policy {name!r}; expected one of {sorted(table)}"
-        ) from None
-    return cls(**kwargs)

@@ -1,15 +1,13 @@
 """Task-level fault tolerance for the execution layer.
 
 The MapReduce model this library reproduces is defined as much by its
-fault-tolerance contract — failed tasks are transparently re-executed,
-stragglers are speculatively duplicated — as by its programming model.
-This package supplies that contract for the host execution backends:
-:class:`ResilientExecutor` wraps any
-:class:`repro.execution.base.ExecutionBackend` with retry/backoff,
-straggler speculation, simulated-worker blacklisting and a
-process → thread → serial degradation ladder, all governed by a
-:class:`RetryPolicy` derived from job configuration and the
-``REPRO_TASK_*`` environment knobs.
+fault-tolerance contract — failed tasks are transparently re-executed —
+as by its programming model.  This package supplies that contract for
+the host execution backends: :class:`ResilientExecutor` wraps any
+:class:`repro.execution.base.ExecutionBackend` with retry/backoff and a
+process → thread → serial degradation ladder, with the retry budget
+taken from the job's ``task_retries`` or the ``REPRO_TASK_RETRIES``
+environment knob.
 """
 
 from repro.resilience.executor import (
@@ -17,11 +15,9 @@ from repro.resilience.executor import (
     ResilientExecutor,
     TaskAttempt,
 )
-from repro.resilience.policy import RetryPolicy
 
 __all__ = [
     "GuardedPayload",
     "ResilientExecutor",
-    "RetryPolicy",
     "TaskAttempt",
 ]

@@ -1,22 +1,15 @@
-"""The resilient executor: retries, speculation, degradation, blacklists.
+"""The resilient executor: retries with backoff, and degradation.
 
 :class:`ResilientExecutor` wraps any
 :class:`repro.execution.base.ExecutionBackend` and gives engine task
 batches the MapReduce fault-tolerance contract:
 
 - **retry with backoff** — a failed attempt is re-executed up to
-  ``RetryPolicy.max_retries`` times; each retry charges capped
+  ``max_retries`` times; each retry charges capped
   exponential backoff with deterministic jitter to the *simulated* clock
   (:meth:`repro.cluster.costmodel.CostModel.task_retry_backoff_time`),
   accumulated in the dedicated ``ExecutorStats.sim_backoff_s`` account
   so the paper's stage times stay byte-identical under faults;
-- **straggler speculation** — a completed attempt that overran
-  ``RetryPolicy.timeout_s`` on the host clock is a straggler; with
-  speculation on, a duplicate runs in the next round and the faster
-  result wins (payloads are pure, so both values are identical);
-- **worker blacklisting** — each task maps to a simulated worker; a
-  worker accumulating ``RetryPolicy.blacklist_after`` consecutive
-  failures is blacklisted and later tasks re-route to the survivors;
 - **graceful degradation** — a worker death mid-batch (a genuine
   ``BrokenProcessPool`` or an injected
   :class:`~repro.faults.injection.InjectedWorkerDeath`) moves the batch
@@ -41,10 +34,9 @@ proves across backends and engines.
 from __future__ import annotations
 
 import os
-import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, List, Optional
 
 from repro.cluster.costmodel import CostModel
 from repro.common import config
@@ -58,7 +50,6 @@ from repro.faults.injection import (
     InjectedWorkerDeath,
     TaskFaultDirective,
 )
-from repro.resilience.policy import RetryPolicy
 
 
 @dataclass(frozen=True)
@@ -73,7 +64,6 @@ class GuardedPayload:
         fn: the engine's task function.
         payload: the engine's task argument.
         index: task index within the submitted batch.
-        attempt: 0-based attempt ordinal for this task.
         directive: injected fault to apply before running, or ``None``.
         parent_pid: pid of the dispatching process — lets a
             ``worker-kill`` directive distinguish a real pool child
@@ -82,17 +72,14 @@ class GuardedPayload:
         capture: whether real exceptions are captured into the attempt
             result (pure picklable batches) or propagate unchanged
             (impure batches keep their status-quo error behavior).
-        speculative: whether this is a straggler's duplicate attempt.
     """
 
     fn: Callable[[Any], Any]
     payload: Any
     index: int
-    attempt: int
     directive: Optional[TaskFaultDirective] = None
     parent_pid: int = 0
     capture: bool = True
-    speculative: bool = False
 
 
 @dataclass
@@ -101,20 +88,12 @@ class TaskAttempt:
 
     #: Task index within the submitted batch.
     index: int
-    #: 0-based attempt ordinal.
-    attempt: int
     #: Whether the attempt produced a value.
     ok: bool
     #: The task function's return value (``None`` on failure).
     value: Any = None
     #: ``"Type: message"`` description of the failure (``None`` on success).
     error: Optional[str] = None
-    #: Host-clock seconds the attempt spent inside the guard.
-    duration_s: float = 0.0
-    #: Whether the failure was an injected fault (always retryable).
-    injected: bool = False
-    #: Whether this was a speculative duplicate.
-    speculative: bool = False
 
 
 def _run_guarded(gp: GuardedPayload) -> TaskAttempt:
@@ -126,7 +105,6 @@ def _run_guarded(gp: GuardedPayload) -> TaskAttempt:
     resilient executor); every other failure is either captured into the
     attempt result or — real exceptions of impure batches — re-raised.
     """
-    start = time.perf_counter()
     directive = gp.directive
     try:
         if directive is not None:
@@ -136,40 +114,22 @@ def _run_guarded(gp: GuardedPayload) -> TaskAttempt:
                 raise InjectedWorkerDeath(gp.index, directive.occurrence)
             if directive.kind == "transient":
                 raise InjectedTaskFault(gp.index, directive.occurrence)
-            if directive.kind == "slowdown":
-                time.sleep(directive.slow_s)
         value = gp.fn(gp.payload)
     except InjectedWorkerDeath:
         raise
     except InjectedTaskFault as exc:
+        # Injected faults are captured even for impure batches: they fire
+        # before the task function, so a retry cannot repeat side effects.
         return TaskAttempt(
-            index=gp.index,
-            attempt=gp.attempt,
-            ok=False,
-            error=f"{type(exc).__name__}: {exc}",
-            duration_s=time.perf_counter() - start,
-            injected=True,
-            speculative=gp.speculative,
+            index=gp.index, ok=False, error=f"{type(exc).__name__}: {exc}"
         )
     except Exception as exc:
         if not gp.capture:
             raise
         return TaskAttempt(
-            index=gp.index,
-            attempt=gp.attempt,
-            ok=False,
-            error=f"{type(exc).__name__}: {exc}",
-            duration_s=time.perf_counter() - start,
-            speculative=gp.speculative,
+            index=gp.index, ok=False, error=f"{type(exc).__name__}: {exc}"
         )
-    return TaskAttempt(
-        index=gp.index,
-        attempt=gp.attempt,
-        ok=True,
-        value=value,
-        duration_s=time.perf_counter() - start,
-        speculative=gp.speculative,
-    )
+    return TaskAttempt(index=gp.index, ok=True, value=value)
 
 
 class ResilientExecutor(ExecutionBackend):
@@ -177,30 +137,29 @@ class ResilientExecutor(ExecutionBackend):
 
     Attributes:
         inner: the wrapped backend (top rung of the degradation ladder).
-        policy: the :class:`~repro.resilience.policy.RetryPolicy` enforced.
+        max_retries: failed attempts re-executed per task before the
+            failure propagates as
+            :class:`~repro.common.errors.RetriesExhausted`.
         cost_model: charges simulated retry backoff
             (:attr:`~repro.execution.base.ExecutorStats.sim_backoff_s`).
         fault_hook: parent-side injection hook, consulted once per
             dispatched attempt with the task index (see
             :meth:`repro.faults.context.FaultContext.task_hook`).
-        last_batch_failures: ``(task_index, failures)`` pairs of the most
-            recent batch's tasks that needed at least one retry — what
-            shard-stage rescheduling consumes.
-        last_stragglers: task indices of the most recent batch whose
-            winning attempt overran ``policy.timeout_s``.
     """
 
     def __init__(
         self,
         inner: ExecutionBackend,
-        policy: Optional[RetryPolicy] = None,
+        max_retries: int = config.DEFAULT_TASK_RETRIES,
         cost_model: Optional[CostModel] = None,
         fault_hook: Optional[Callable[[int], Optional[TaskFaultDirective]]] = None,
     ) -> None:
         super().__init__()
         self.inner = inner
         self.name = inner.name
-        self.policy = policy or RetryPolicy()
+        if max_retries < 0:
+            raise ValueError("max_retries must be non-negative")
+        self.max_retries = max_retries
         self.cost_model = cost_model or CostModel()
         self.fault_hook = fault_hook
         #: Chaos-mode configuration (see ``REPRO_CHAOS_SEED`` in config).
@@ -209,10 +168,6 @@ class ResilientExecutor(ExecutionBackend):
         self._ladder: List[ExecutionBackend] = [inner]
         self._owned: List[ExecutionBackend] = []
         self._rung = 0
-        self._live_workers = list(range(self.policy.num_sim_workers))
-        self._worker_strikes: dict = {}
-        self.last_batch_failures: List[tuple] = []
-        self.last_stragglers: List[int] = []
 
     # ------------------------------------------------------------------ #
     # plumbing                                                           #
@@ -252,28 +207,6 @@ class ResilientExecutor(ExecutionBackend):
         return True
 
     # ------------------------------------------------------------------ #
-    # simulated-worker blacklisting                                       #
-    # ------------------------------------------------------------------ #
-
-    def _sim_worker(self, index: int) -> int:
-        """The simulated worker a task index currently routes to."""
-        live = self._live_workers
-        return live[index % len(live)]
-
-    def _note_worker_failure(self, index: int) -> None:
-        worker = self._sim_worker(index)
-        strikes = self._worker_strikes.get(worker, 0) + 1
-        self._worker_strikes[worker] = strikes
-        if strikes >= self.policy.blacklist_after and len(self._live_workers) > 1:
-            self._live_workers.remove(worker)
-            self.stats.workers_blacklisted += 1
-
-    def _note_worker_success(self, index: int) -> None:
-        worker = self._sim_worker(index)
-        if self._worker_strikes.get(worker):
-            self._worker_strikes[worker] = 0
-
-    # ------------------------------------------------------------------ #
     # fault consultation                                                  #
     # ------------------------------------------------------------------ #
 
@@ -309,8 +242,7 @@ class ResilientExecutor(ExecutionBackend):
         """Record one failed attempt; raises when the budget is gone."""
         failures[index] += 1
         self.stats.task_failures += 1
-        self._note_worker_failure(index)
-        if failures[index] > self.policy.max_retries:
+        if failures[index] > self.max_retries:
             raise RetriesExhausted(index, failures[index], cause)
         token = stable_hash((batch_ordinal, index, failures[index]))
         self.stats.sim_backoff_s += self.cost_model.task_retry_backoff_time(
@@ -328,30 +260,23 @@ class ResilientExecutor(ExecutionBackend):
         payloads: List[Any],
         picklable: bool,
     ) -> List[Any]:
-        self.last_batch_failures = []
-        self.last_stragglers = []
         if (
-            not self.policy.active
+            not self.max_retries
             and self.fault_hook is None
             and self.chaos_seed is None
         ):
             # Nothing to enforce: zero-overhead passthrough.
             return self.current_backend().run_tasks(fn, payloads, picklable)
 
-        policy = self.policy
         n = len(payloads)
         batch_ordinal = self.stats.batches
         parent_pid = os.getpid()
         values: List[Any] = [None] * n
-        done = [False] * n
-        durations = [0.0] * n
         attempts = [0] * n
         failures = [0] * n
-        speculated = [False] * n
         pending = list(range(n))
-        speculating: List[int] = []
 
-        while pending or speculating:
+        while pending:
             gps: List[GuardedPayload] = []
             for index in pending:
                 directive = self._consult(index, attempts[index], picklable)
@@ -360,23 +285,9 @@ class ResilientExecutor(ExecutionBackend):
                         fn=fn,
                         payload=payloads[index],
                         index=index,
-                        attempt=attempts[index],
                         directive=directive,
                         parent_pid=parent_pid,
                         capture=picklable,
-                    )
-                )
-                attempts[index] += 1
-            for index in speculating:
-                gps.append(
-                    GuardedPayload(
-                        fn=fn,
-                        payload=payloads[index],
-                        index=index,
-                        attempt=attempts[index],
-                        parent_pid=parent_pid,
-                        capture=True,
-                        speculative=True,
                     )
                 )
                 attempts[index] += 1
@@ -389,66 +300,31 @@ class ResilientExecutor(ExecutionBackend):
                 moved = self._degrade()
                 if moved:
                     self.stats.degraded_batches += 1
-                indices = [gp.index for gp in gps if not gp.speculative]
                 killed = getattr(death, "task_index", None)
                 if moved:
                     # The round redispatches one rung down; only the task
                     # the death struck is charged a failed attempt.
-                    charge = [killed] if killed in indices else []
+                    charge = [killed] if killed in pending else []
                 else:
                     # Already at serial: a worker death is a whole-round
                     # failure, bounded by each task's retry budget.
-                    charge = indices
+                    charge = pending
                 for index in charge:
                     self._charge_failure(
                         index, str(death), batch_ordinal, failures
                     )
-                pending = indices
-                speculating = []
                 continue
 
             next_pending: List[int] = []
             for result in results:
                 index = result.index
-                if result.speculative:
-                    if (
-                        result.ok
-                        and done[index]
-                        and result.duration_s < durations[index]
-                    ):
-                        # First-result-wins: identical value (payloads
-                        # are pure), but the speculative copy was faster.
-                        values[index] = result.value
-                        durations[index] = result.duration_s
-                        self.stats.speculative_wins += 1
-                    continue
                 if result.ok:
                     values[index] = result.value
-                    durations[index] = result.duration_s
-                    done[index] = True
-                    self._note_worker_success(index)
                 else:
                     self._charge_failure(
                         index, result.error or "task failed", batch_ordinal, failures
                     )
                     next_pending.append(index)
-
-            speculating = []
-            if policy.timeout_s is not None:
-                for result in results:
-                    index = result.index
-                    if (
-                        result.ok
-                        and not result.speculative
-                        and result.duration_s > policy.timeout_s
-                    ):
-                        self.last_stragglers.append(index)
-                        if policy.speculation and picklable and not speculated[index]:
-                            speculated[index] = True
-                            speculating.append(index)
             pending = next_pending
 
-        self.last_batch_failures = [
-            (index, count) for index, count in enumerate(failures) if count
-        ]
         return values

@@ -12,20 +12,18 @@ read path with three guarantees:
   exactly the entries it could have changed.
 - **Honest costs** — :class:`QueryServer` charges every miss's bytes
   through the cluster :class:`~repro.cluster.costmodel.CostModel`
-  (home-shard local read, cross-shard network hops) and enforces
-  per-query simulated deadlines via
-  :class:`~repro.resilience.RetryPolicy`.
+  (home-shard local read, cross-shard network hops) and enforces a
+  per-query simulated deadline.
 
 :class:`ServingBridge` wires a
 :class:`~repro.streaming.pipeline.ContinuousPipeline` to a server so
-each committed batch becomes the next served epoch, and
-:class:`LoadGenerator` drives deterministic query mixes for the
-benchmarks.
+each committed batch becomes the next served epoch; :class:`QueryMix`
+describes the query mix the benchmarks issue.
 """
 
 from repro.serving.cache import CacheStats, ResultCache, entry_signature
 from repro.serving.epochs import EpochManager, EpochSnapshot
-from repro.serving.loadgen import LoadGenerator, QueryMix, percentile
+from repro.serving.mix import QueryMix, percentile
 from repro.serving.server import (
     QueryResult,
     QueryServer,
@@ -37,7 +35,6 @@ __all__ = [
     "CacheStats",
     "EpochManager",
     "EpochSnapshot",
-    "LoadGenerator",
     "QueryMix",
     "QueryResult",
     "QueryServer",

@@ -10,10 +10,9 @@ snapshot's shard overlays — charging the bytes it moved through
 :meth:`repro.cluster.costmodel.CostModel.serving_read_time` (home shard
 local, every other touched shard pays the cross-shard network hop).
 
-Per-query timeouts reuse :class:`repro.resilience.RetryPolicy`: a
-query whose charged *simulated* read cost exceeds the policy's
-``timeout_s`` raises :class:`repro.common.errors.QueryTimeout` instead
-of returning — the client would have hung up.
+Per-query timeouts: a query whose charged *simulated* read cost exceeds
+the server's ``timeout_s`` raises :class:`repro.common.errors.QueryTimeout`
+instead of returning — the client would have hung up.
 
 :class:`ServingBridge` is the glue to ingestion: registered as a
 :class:`~repro.streaming.pipeline.ContinuousPipeline` batch listener it
@@ -26,14 +25,13 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, Mapping, Optional, Set
 
 from repro.cluster.costmodel import CostModel
 from repro.common import config
 from repro.common.errors import QueryTimeout
 from repro.common.kvpair import sort_key
 from repro.common.sizeof import record_size
-from repro.resilience.policy import RetryPolicy
 from repro.serving.cache import ResultCache, entry_signature
 from repro.serving.epochs import EpochManager, EpochSnapshot, prefix_range
 
@@ -44,7 +42,7 @@ class ServerStats:
 
     #: queries answered (timeouts included — the read happened).
     queries: int = 0
-    #: queries aborted by the simulated-deadline policy.
+    #: queries aborted by the simulated deadline.
     timeouts: int = 0
     #: total simulated read cost charged across all queries (s).
     sim_read_s: float = 0.0
@@ -87,7 +85,6 @@ class QueryServer:
         manager: Optional[EpochManager] = None,
         num_shards: Optional[int] = None,
         cache: Optional[ResultCache] = None,
-        policy: Optional[RetryPolicy] = None,
         cost_model: Optional[CostModel] = None,
         timeout_s: Optional[float] = None,
     ) -> None:
@@ -95,16 +92,12 @@ class QueryServer:
             manager = EpochManager(num_shards=num_shards)
         self.manager = manager
         self.cache = ResultCache() if cache is None else cache
-        if policy is None:
-            timeout = (
-                config.DEFAULT_SERVING_TIMEOUT_S
-                if timeout_s is None
-                else timeout_s
-            )
-            policy = RetryPolicy.disabled() if timeout is None else RetryPolicy(
-                max_retries=0, timeout_s=timeout, speculation=False
-            )
-        self.policy = policy
+        #: simulated per-query deadline in seconds (``None`` = none).
+        self.timeout_s = (
+            config.DEFAULT_SERVING_TIMEOUT_S if timeout_s is None else timeout_s
+        )
+        if self.timeout_s is not None and self.timeout_s <= 0:
+            raise ValueError("timeout_s must be positive (or None)")
         self.cost_model = (cost_model or CostModel()).unscaled()
         self.stats = ServerStats()
         self._lock = threading.Lock()
@@ -131,7 +124,7 @@ class QueryServer:
 
     def _account(self, snapshot: EpochSnapshot, cost_s: float, kind: str) -> None:
         """Record stats and enforce the simulated query deadline."""
-        timeout = self.policy.timeout_s
+        timeout = self.timeout_s
         timed_out = timeout is not None and cost_s > timeout
         with self._lock:
             self.stats.queries += 1

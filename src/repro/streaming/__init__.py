@@ -36,7 +36,6 @@ from repro.streaming.consumers import (
     IterativeStreamConsumer,
     OneStepStreamConsumer,
     StreamConsumer,
-    net_delta_records,
 )
 from repro.streaming.metrics import StreamBatchMetrics, StreamRunResult
 from repro.streaming.pipeline import ContinuousPipeline, delta_record_size
@@ -63,7 +62,6 @@ __all__ = [
     "IterativeStreamConsumer",
     "OneStepStreamConsumer",
     "StreamConsumer",
-    "net_delta_records",
     "StreamBatchMetrics",
     "StreamRunResult",
     "ContinuousPipeline",

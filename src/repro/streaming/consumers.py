@@ -23,7 +23,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.common.errors import StreamError
-from repro.common.kvpair import DeltaRecord, Op
+from repro.common.kvpair import DeltaRecord
 from repro.dfs.filesystem import DistributedFS
 from repro.incremental.api import delta_to_dfs_records
 from repro.incremental.engine import IncrMREngine
@@ -50,36 +50,6 @@ class BatchOutcome:
     #: map tasks the engine actually scheduled for the batch — a batch
     #: whose delta nets to zero schedules none.
     map_tasks: int = 0
-
-
-def net_delta_records(records: List[DeltaRecord]) -> List[DeltaRecord]:
-    """Cancel matched insert/delete pairs out of a micro-batch.
-
-    A record stream may contain a deletion and an insertion of the very
-    same ``(key, value)`` (e.g. a flapping upstream writes and reverts a
-    row inside one batch window); the *net* effect on the structure is
-    zero, so feeding both to the engine only costs work.  Survivors keep
-    their original relative order — the engine observes the same
-    sequence a pre-netted source would have produced.
-    """
-    net: Dict[Tuple[Any, str], int] = {}
-    for rec in records:
-        sig = (rec.key, repr(rec.value))
-        net[sig] = net.get(sig, 0) + (1 if rec.op is Op.INSERT else -1)
-    kept: Dict[Tuple[Any, str], int] = {}
-    survivors: List[DeltaRecord] = []
-    for rec in records:
-        sig = (rec.key, repr(rec.value))
-        balance = net[sig]
-        if balance == 0:
-            continue
-        surviving_op = Op.INSERT if balance > 0 else Op.DELETE
-        if rec.op is not surviving_op:
-            continue
-        if kept.get(sig, 0) < abs(balance):
-            kept[sig] = kept.get(sig, 0) + 1
-            survivors.append(rec)
-    return survivors
 
 
 def _shard_activity(state: PreservedJobState) -> Dict[Tuple[int, int], Tuple[int, int]]:
@@ -145,17 +115,12 @@ class IterativeStreamConsumer(StreamConsumer):
         prev: PreservedIterState,
         options: Optional[I2MROptions] = None,
         owns_state: bool = False,
-        net_deltas: bool = False,
     ) -> None:
         self.engine = engine
         self.job = job
         self.prev = prev
         self.options = options or I2MROptions()
         self._owns_state = owns_state
-        #: cancel matched insert/delete pairs before invoking the engine
-        #: (:func:`net_delta_records`); a batch that nets to zero then
-        #: schedules no tasks at all.
-        self.net_deltas = net_deltas
 
     @classmethod
     def from_initial(
@@ -166,7 +131,6 @@ class IterativeStreamConsumer(StreamConsumer):
         options: Optional[I2MROptions] = None,
         executor: Any = None,
         num_shards: Optional[int] = None,
-        net_deltas: bool = False,
     ) -> "IterativeStreamConsumer":
         """Run the initial converged job and wrap its preserved state.
 
@@ -176,21 +140,11 @@ class IterativeStreamConsumer(StreamConsumer):
         """
         engine = I2MREngine(cluster, dfs, executor=executor, num_shards=num_shards)
         _, prev = engine.run_initial(job)
-        return cls(engine, job, prev, options, owns_state=True, net_deltas=net_deltas)
+        return cls(engine, job, prev, options, owns_state=True)
 
     def process_batch(self, records: List[DeltaRecord]) -> BatchOutcome:
-        """Run one incremental iterative job over the micro-batch.
-
-        With :attr:`net_deltas` a batch whose records cancel out entirely
-        short-circuits: the engine never runs, zero tasks are scheduled
-        and the preserved state is untouched (only the pipeline's commit
-        record marks the batch).
-        """
+        """Run one incremental iterative job over the micro-batch."""
         records = list(records)
-        if self.net_deltas:
-            records = net_delta_records(records)
-            if not records:
-                return BatchOutcome(processing_s=0.0, iterations=0)
         before = _shard_activity(self.prev.stores)
         result = self.engine.run_incremental(
             self.job, records, self.prev, self.options
@@ -236,7 +190,6 @@ class OneStepStreamConsumer(StreamConsumer):
         state: PreservedJobState,
         staging_prefix: str = "/stream/delta",
         owns_state: bool = False,
-        net_deltas: bool = False,
     ) -> None:
         if not staging_prefix:
             raise StreamError("staging_prefix must be non-empty")
@@ -245,9 +198,6 @@ class OneStepStreamConsumer(StreamConsumer):
         self.preserved = state
         self.staging_prefix = staging_prefix.rstrip("/")
         self._owns_state = owns_state
-        #: cancel matched insert/delete pairs before staging the batch; a
-        #: batch that nets to zero never reaches the DFS or the engine.
-        self.net_deltas = net_deltas
         self._seq = 0
 
     @classmethod
@@ -259,29 +209,16 @@ class OneStepStreamConsumer(StreamConsumer):
         accumulator: bool = False,
         staging_prefix: str = "/stream/delta",
         num_shards: Optional[int] = None,
-        net_deltas: bool = False,
     ) -> "OneStepStreamConsumer":
         """Run job A once and wrap its preserved fine-grain state."""
         engine = IncrMREngine(cluster, dfs)
         _, state = engine.run_initial(
             jobconf, accumulator=accumulator, num_shards=num_shards
         )
-        return cls(
-            engine, jobconf, state, staging_prefix, owns_state=True,
-            net_deltas=net_deltas,
-        )
+        return cls(engine, jobconf, state, staging_prefix, owns_state=True)
 
     def process_batch(self, records: List[DeltaRecord]) -> BatchOutcome:
-        """Stage the micro-batch as a DFS delta file and process it.
-
-        With :attr:`net_deltas` a batch whose records cancel out entirely
-        short-circuits before staging: no DFS file, no engine run, no
-        work scheduled.
-        """
-        if self.net_deltas:
-            records = net_delta_records(list(records))
-            if not records:
-                return BatchOutcome(processing_s=0.0)
+        """Stage the micro-batch as a DFS delta file and process it."""
         path = f"{self.staging_prefix}/batch-{self._seq:06d}"
         self._seq += 1
         dfs = self.engine.dfs

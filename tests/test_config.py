@@ -13,6 +13,7 @@ import pytest
 
 from repro.common import config
 from repro.common.errors import InvalidEnvVar, ReproError
+from repro.execution import ExecutorSelector
 
 
 @pytest.fixture
@@ -33,14 +34,14 @@ def reload_with(monkeypatch):
     [
         ("1", True), ("true", True), (" YES ", True), ("On", True),
         ("0", False), ("false", False), ("No", False), (" off", False),
-        ("", False), ("  ", False),  # blank keeps the default (speculation off)
+        ("", False), ("  ", False),  # blank keeps the default (workset off)
     ],
 )
 def test_flag_words(reload_with, value, expected):
-    assert reload_with("REPRO_SPECULATION", value).DEFAULT_SPECULATION is expected
+    assert reload_with("REPRO_WORKSET", value).DEFAULT_WORKSET is expected
 
 
-@pytest.mark.parametrize("name", ["REPRO_WORKSET", "REPRO_SPECULATION"])
+@pytest.mark.parametrize("name", ["REPRO_WORKSET"])
 @pytest.mark.parametrize("value", ["disabled", "disable", "nope", "2", "y"])
 def test_unknown_flag_word_raises(reload_with, name, value):
     with pytest.raises(InvalidEnvVar) as excinfo:
@@ -57,7 +58,6 @@ def test_unknown_flag_word_raises(reload_with, name, value):
         ("REPRO_TASK_RETRIES", "2.5"),
         ("REPRO_MAX_WORKERS", "many"),
         ("REPRO_CHAOS_SEED", "0x1f"),
-        ("REPRO_TASK_TIMEOUT", "soon"),
         ("REPRO_SERVING_TIMEOUT", "1s"),
         ("REPRO_CHAOS_RATE", "7"),
         ("REPRO_CHAOS_RATE", "-0.1"),
@@ -75,9 +75,28 @@ def test_unparsable_number_raises(reload_with, name, value):
 
 def test_numbers_parse_with_whitespace(reload_with):
     assert reload_with("REPRO_SHARDS", " 3 ").DEFAULT_NUM_SHARDS == 3
-    assert reload_with("REPRO_TASK_TIMEOUT", "1.5").DEFAULT_TASK_TIMEOUT_S == 1.5
+    assert reload_with("REPRO_SERVING_TIMEOUT", "1.5").DEFAULT_SERVING_TIMEOUT_S == 1.5
     assert reload_with("REPRO_CHAOS_RATE", "1").CHAOS_RATE == 1.0
     assert reload_with("REPRO_CHAOS_RATE", "0").CHAOS_RATE == 0.0
+
+
+def test_blank_executor_keeps_the_default(reload_with):
+    assert reload_with("REPRO_EXECUTOR", "").DEFAULT_EXECUTOR == "serial"
+    selector = ExecutorSelector()
+    assert selector.get(None, None).name == "serial"
+    selector.close()
+
+
+def test_executor_name_is_stripped(reload_with):
+    assert reload_with("REPRO_EXECUTOR", " process ").DEFAULT_EXECUTOR == "process"
+
+
+def test_unknown_executor_raises_at_import(reload_with):
+    with pytest.raises(InvalidEnvVar, match="REPRO_EXECUTOR") as excinfo:
+        reload_with("REPRO_EXECUTOR", "bogus")
+    assert excinfo.value.value == "bogus"
+    for name in config.EXECUTOR_NAMES:
+        assert name in str(excinfo.value)
 
 
 def test_restored_env_restores_defaults(monkeypatch):

@@ -85,7 +85,7 @@ def test_architecture_covers_fault_tolerance():
     assert "## Fault tolerance & recovery" in arch
     for term in (
         "ResilientExecutor",
-        "RetryPolicy",
+        "task_retries",
         "sim_backoff_s",
         "degradation ladder",
         "dead-letter",
@@ -111,7 +111,7 @@ def test_architecture_covers_workset():
         "partitions_holding",
         "empty workset",
         "REPRO_WORKSET",
-        "net_delta_records",
+        "map_tasks",
         "TestCollapse",
     ):
         assert term in arch

@@ -112,7 +112,6 @@ class TestTimeline:
         assert len(timeline.failures()) == 1
         assert timeline.max_recovery_time() == pytest.approx(3.0)
         assert timeline.duration() == pytest.approx(12.0)
-        assert len(timeline.rows()) == 2
 
     def test_empty_timeline(self):
         timeline = Timeline()
@@ -235,16 +234,16 @@ class TestTaskHook:
     def test_occurrence_counting_and_log(self):
         ctx = self._context(
             dict(kind="transient", task_index=1, occurrence=1),
-            dict(kind="slowdown", task_index=2, occurrence=0, slow_s=0.5),
+            dict(kind="worker-kill", task_index=2, occurrence=0),
         )
         hook = ctx.task_hook()
         assert hook(1) is None                       # occurrence 0: clean
         retry = hook(1)                              # occurrence 1: faults
         assert retry is not None and retry.kind == "transient"
-        slow = hook(2)
-        assert slow is not None and slow.slow_s == 0.5
+        kill = hook(2)
+        assert kill is not None and kill.kind == "worker-kill"
         assert hook(0) is None
-        assert ctx.task_fault_log == [(1, 1, "transient"), (2, 0, "slowdown")]
+        assert ctx.task_fault_log == [(1, 1, "transient"), (2, 0, "worker-kill")]
 
     def test_task_and_store_channels_are_independent(self):
         from repro.faults.injection import CrashPoint, TaskFault

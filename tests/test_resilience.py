@@ -1,8 +1,8 @@
 """Task-level fault tolerance: the resilient executor and its wiring.
 
 The contract under test is the robustness analogue of the executor
-contract: injected task faults (transient failures, worker deaths,
-stragglers) may cost retries, simulated backoff and degraded backends,
+contract: injected task faults (transient failures, worker deaths) may cost
+retries, simulated backoff and degraded backends,
 but they must never change what a run *computes* — outputs, counters
 and simulated stage times stay byte-identical to the fault-free run,
 across the serial/thread/process backends and across engines.
@@ -17,14 +17,8 @@ from hypothesis import strategies as st
 from repro.cluster.cluster import Cluster
 from repro.cluster.costmodel import CostModel
 from repro.common import config
-from repro.cluster.scheduler import (
-    ShardPlacement,
-    ShardTaskSpec,
-    reschedule_failed_tasks,
-)
 from repro.common.errors import RetriesExhausted
 from repro.common.hashing import stable_hash
-from repro.common.kvpair import Op
 from repro.dfs.filesystem import DistributedFS
 from repro.execution import (
     ExecutorSelector,
@@ -38,12 +32,10 @@ from repro.incremental.api import SumReducer
 from repro.mapreduce.api import Mapper
 from repro.mapreduce.engine import MapReduceEngine
 from repro.mapreduce.job import JobConf
-from repro.mrbgraph.graph import DeltaEdge, Edge
-from repro.mrbgraph.sharding import ShardedMRBGStore
-from repro.resilience import ResilientExecutor, RetryPolicy
+from repro.resilience import ResilientExecutor
 
 BACKEND_NAMES = ("serial", "thread", "process")
-FAULT_KINDS = ("transient", "worker-kill", "slowdown")
+FAULT_KINDS = ("transient", "worker-kill")
 
 
 @pytest.fixture(autouse=True)
@@ -95,12 +87,6 @@ def _rate_hook(rate: float, seed: int = 1234):
     return hook
 
 
-def _policy(**overrides) -> RetryPolicy:
-    defaults = dict(max_retries=2, timeout_s=None, speculation=False)
-    defaults.update(overrides)
-    return RetryPolicy(**defaults)
-
-
 # ---------------------------------------------------------------------- #
 # executor unit behaviour                                                #
 # ---------------------------------------------------------------------- #
@@ -108,7 +94,7 @@ def _policy(**overrides) -> RetryPolicy:
 
 class TestResilientExecutor:
     def test_passthrough_when_nothing_to_enforce(self):
-        wrapper = ResilientExecutor(SerialBackend(), policy=RetryPolicy.disabled())
+        wrapper = ResilientExecutor(SerialBackend(), max_retries=0)
         try:
             assert wrapper.run_tasks(_square, range(10)) == [x * x for x in range(10)]
             assert wrapper.stats.retries == 0
@@ -119,14 +105,13 @@ class TestResilientExecutor:
     def test_transient_fault_is_retried(self):
         ctx_hook = _hook_for(TaskFault("transient", task_index=3, occurrence=0))
         wrapper = ResilientExecutor(
-            SerialBackend(), policy=_policy(), fault_hook=ctx_hook
+            SerialBackend(), max_retries=2, fault_hook=ctx_hook
         )
         try:
             assert wrapper.run_tasks(_square, range(8)) == [x * x for x in range(8)]
             assert wrapper.stats.task_failures == 1
             assert wrapper.stats.retries == 1
             assert wrapper.stats.sim_backoff_s > 0.0
-            assert wrapper.last_batch_failures == [(3, 1)]
         finally:
             wrapper.close()
 
@@ -135,7 +120,7 @@ class TestResilientExecutor:
             TaskFault("transient", task_index=1, occurrence=occ) for occ in range(3)
         ]
         wrapper = ResilientExecutor(
-            SerialBackend(), policy=_policy(max_retries=2), fault_hook=_hook_for(*faults)
+            SerialBackend(), max_retries=2, fault_hook=_hook_for(*faults)
         )
         try:
             with pytest.raises(RetriesExhausted) as excinfo:
@@ -146,7 +131,7 @@ class TestResilientExecutor:
             wrapper.close()
 
     def test_real_exception_retried_then_exhausted_for_pure_batches(self):
-        wrapper = ResilientExecutor(SerialBackend(), policy=_policy(max_retries=1))
+        wrapper = ResilientExecutor(SerialBackend(), max_retries=1)
         try:
             with pytest.raises(RetriesExhausted) as excinfo:
                 wrapper.run_tasks(_boom, range(5), picklable=True)
@@ -156,7 +141,7 @@ class TestResilientExecutor:
             wrapper.close()
 
     def test_real_exception_propagates_for_impure_batches(self):
-        wrapper = ResilientExecutor(SerialBackend(), policy=_policy())
+        wrapper = ResilientExecutor(SerialBackend(), max_retries=2)
         try:
             with pytest.raises(ValueError, match="task 3 always fails"):
                 wrapper.run_tasks(_boom, range(5), picklable=False)
@@ -167,7 +152,7 @@ class TestResilientExecutor:
         def charged(seed_faults):
             wrapper = ResilientExecutor(
                 SerialBackend(),
-                policy=_policy(max_retries=4),
+                max_retries=4,
                 fault_hook=_hook_for(*seed_faults),
             )
             try:
@@ -187,7 +172,7 @@ class TestResilientExecutor:
     def test_sim_backoff_follows_the_fault_rate(self):
         def stats_at(rate):
             wrapper = ResilientExecutor(
-                SerialBackend(), policy=_policy(max_retries=3),
+                SerialBackend(), max_retries=3,
                 fault_hook=_rate_hook(rate),
             )
             try:
@@ -211,7 +196,7 @@ class TestResilientExecutor:
         inner = backend_cls(max_workers=2)
         wrapper = ResilientExecutor(
             inner,
-            policy=_policy(),
+            max_retries=2,
             fault_hook=_hook_for(TaskFault("worker-kill", task_index=1, occurrence=0)),
         )
         try:
@@ -228,7 +213,7 @@ class TestResilientExecutor:
     def test_worker_kill_on_serial_is_a_whole_round_failure(self):
         wrapper = ResilientExecutor(
             SerialBackend(),
-            policy=_policy(),
+            max_retries=2,
             fault_hook=_hook_for(TaskFault("worker-kill", task_index=0, occurrence=0)),
         )
         try:
@@ -236,7 +221,8 @@ class TestResilientExecutor:
             # Serial has no rung below it: the round redispatches on the
             # same backend and every task is charged one failed attempt.
             assert wrapper.stats.degraded_batches == 0
-            assert wrapper.last_batch_failures == [(i, 1) for i in range(4)]
+            assert wrapper.stats.task_failures == 4
+            assert wrapper.stats.retries == 4
         finally:
             wrapper.close()
 
@@ -246,7 +232,7 @@ class TestResilientExecutor:
         ]
         inner = ProcessBackend(max_workers=2)
         wrapper = ResilientExecutor(
-            inner, policy=_policy(), fault_hook=_hook_for(*faults)
+            inner, max_retries=2, fault_hook=_hook_for(*faults)
         )
         try:
             assert wrapper.run_tasks(_square, range(6), picklable=True) == [
@@ -261,64 +247,15 @@ class TestResilientExecutor:
     def test_worker_kill_downgraded_to_transient_for_impure_batches(self):
         wrapper = ResilientExecutor(
             SerialBackend(),
-            policy=_policy(),
+            max_retries=2,
             fault_hook=_hook_for(TaskFault("worker-kill", task_index=1, occurrence=0)),
         )
         try:
             assert wrapper.run_tasks(_square, range(4), picklable=False) == [0, 1, 4, 9]
             # Only the faulted task retried — a whole-round redispatch
             # would have re-applied the impure batch's completed tasks.
-            assert wrapper.last_batch_failures == [(1, 1)]
+            assert wrapper.stats.task_failures == 1
             assert wrapper.stats.degraded_batches == 0
-        finally:
-            wrapper.close()
-
-    def test_straggler_detection_and_speculation(self):
-        wrapper = ResilientExecutor(
-            SerialBackend(),
-            policy=_policy(timeout_s=0.005, speculation=True),
-            fault_hook=_hook_for(
-                TaskFault("slowdown", task_index=2, occurrence=0, slow_s=0.02)
-            ),
-        )
-        try:
-            values = wrapper.run_tasks(_square, range(5), picklable=True)
-            assert values == [x * x for x in range(5)]
-            assert 2 in wrapper.last_stragglers
-            # The duplicate ran without the injected sleep, so it won.
-            assert wrapper.stats.speculative_wins == 1
-        finally:
-            wrapper.close()
-
-    def test_straggler_without_speculation_only_records(self):
-        wrapper = ResilientExecutor(
-            SerialBackend(),
-            policy=_policy(timeout_s=0.005, speculation=False),
-            fault_hook=_hook_for(
-                TaskFault("slowdown", task_index=1, occurrence=0, slow_s=0.02)
-            ),
-        )
-        try:
-            assert wrapper.run_tasks(_square, range(3)) == [0, 1, 4]
-            assert wrapper.last_stragglers == [1]
-            assert wrapper.stats.speculative_wins == 0
-        finally:
-            wrapper.close()
-
-    def test_repeat_failures_blacklist_the_sim_worker(self):
-        faults = [
-            TaskFault("transient", task_index=0, occurrence=occ) for occ in range(2)
-        ]
-        wrapper = ResilientExecutor(
-            SerialBackend(),
-            policy=_policy(max_retries=4, blacklist_after=2, num_sim_workers=4),
-            fault_hook=_hook_for(*faults),
-        )
-        try:
-            assert wrapper.run_tasks(_square, range(4)) == [0, 1, 4, 9]
-            assert wrapper.stats.workers_blacklisted == 1
-            # Task index 0 now routes to a surviving worker.
-            assert wrapper._sim_worker(0) != 0
         finally:
             wrapper.close()
 
@@ -333,7 +270,7 @@ class TestResilientExecutor:
         for name in BACKEND_NAMES:
             selector = ExecutorSelector(name)
             selector.task_fault_hook = _hook_for(*faults)
-            wrapper = selector.get(resilience=_policy())
+            wrapper = selector.get(max_retries=2)
             values = wrapper.run_tasks(_square, range(12), picklable=True)
             if reference is None:
                 reference = values
@@ -345,6 +282,59 @@ class TestResilientExecutor:
 
 
 # ---------------------------------------------------------------------- #
+# retry accounting pinned to recorded values                             #
+# ---------------------------------------------------------------------- #
+
+#: A fixed task-fault schedule: task 2 fails its first two attempts, task
+#: 0 its second consult; worker kills strike task 5's first and task 7's
+#: second consult.  Three batches of eight tasks run through it.
+_PINNED_FAULTS = (
+    TaskFault("transient", task_index=2, occurrence=0),
+    TaskFault("transient", task_index=2, occurrence=1),
+    TaskFault("worker-kill", task_index=5, occurrence=0),
+    TaskFault("transient", task_index=0, occurrence=1),
+    TaskFault("worker-kill", task_index=7, occurrence=1),
+)
+
+#: ``(retries, task_failures, degraded_batches, sim_backoff_s)`` per
+#: backend under :data:`_PINNED_FAULTS`.  Serial has no rung below it, so
+#: each kill there charges the whole round; thread and process degrade
+#: instead, and a real process death names no task to charge.
+_PINNED_ACCOUNTING = {
+    SerialBackend: (16, 16, 0, 19.7822265625),
+    ThreadBackend: (9, 9, 1, 7.8037109375),
+    ProcessBackend: (2, 2, 2, 1.32421875),
+}
+
+
+class TestRetryAccountingPinned:
+    @pytest.mark.parametrize(
+        "backend_cls", list(_PINNED_ACCOUNTING), ids=lambda cls: cls.name
+    )
+    def test_fixed_schedule_accounting(self, backend_cls):
+        inner = backend_cls(max_workers=2)
+        wrapper = ResilientExecutor(
+            inner, max_retries=2, fault_hook=_hook_for(*_PINNED_FAULTS)
+        )
+        try:
+            for _ in range(3):
+                assert wrapper.run_tasks(_square, range(8)) == [
+                    x * x for x in range(8)
+                ]
+            stats = wrapper.stats
+            assert (
+                stats.retries,
+                stats.task_failures,
+                stats.degraded_batches,
+                stats.sim_backoff_s,
+            ) == _PINNED_ACCOUNTING[backend_cls]
+            assert wrapper.current_backend().name == "serial"
+        finally:
+            wrapper.close()
+            inner.close()
+
+
+# ---------------------------------------------------------------------- #
 # selector wiring                                                        #
 # ---------------------------------------------------------------------- #
 
@@ -352,96 +342,30 @@ class TestResilientExecutor:
 class TestSelectorWiring:
     def test_selector_wraps_and_caches_by_policy(self):
         selector = ExecutorSelector("serial")
-        policy = _policy()
-        a = selector.get(resilience=policy)
-        b = selector.get(resilience=policy)
+        a = selector.get(max_retries=2)
+        b = selector.get(max_retries=2)
         assert a is b
         assert isinstance(a, ResilientExecutor)
         assert a.inner is selector.get()
-        assert selector.get(resilience=None) is a.inner
-        other = selector.get(resilience=_policy(max_retries=7))
+        assert selector.get(max_retries=None) is a.inner
+        other = selector.get(max_retries=7)
         assert other is not a
         selector.close()
 
     def test_selector_refreshes_fault_hook(self):
         selector = ExecutorSelector("serial")
-        wrapper = selector.get(resilience=_policy())
+        wrapper = selector.get(max_retries=2)
         assert wrapper.fault_hook is None
         hook = _hook_for(TaskFault("transient", task_index=0, occurrence=0))
         selector.task_fault_hook = hook
-        assert selector.get(resilience=_policy()).fault_hook is hook
+        assert selector.get(max_retries=2).fault_hook is hook
         selector.close()
 
     def test_provided_backend_instances_are_not_wrapped(self):
         selector = ExecutorSelector("serial")
         provided = SerialBackend()
-        assert selector.get(provided, resilience=_policy()) is provided
+        assert selector.get(provided, max_retries=2) is provided
         selector.close()
-
-
-# ---------------------------------------------------------------------- #
-# retry rescheduling (shard locality)                                    #
-# ---------------------------------------------------------------------- #
-
-
-class TestRescheduleFailedTasks:
-    def test_retry_prefers_the_shard_owner(self):
-        placement = ShardPlacement(num_shards=4, num_workers=2)
-        spec = ShardTaskSpec("merge-0001", cost_s=2.0, shard_id=1, read_bytes=4096)
-        result = reschedule_failed_tasks([(spec, 1)], placement)
-        assert result.assignment == {"merge-0001": 1}
-        assert result.locality_hits == 1
-        # Backoff for attempt ordinal 0 extends the worker's busy time.
-        assert result.elapsed_s > spec.cost_s
-
-    def test_blacklisted_owner_pays_cross_shard_transfer(self):
-        placement = ShardPlacement(num_shards=4, num_workers=2)
-        spec = ShardTaskSpec("merge-0001", cost_s=2.0, shard_id=1, read_bytes=4096)
-        result = reschedule_failed_tasks([(spec, 1)], placement, blacklisted=[1])
-        assert result.assignment == {"merge-0001": 0}
-        assert result.locality_misses == 1
-
-    def test_backoff_grows_with_attempts(self):
-        placement = ShardPlacement(num_shards=2, num_workers=2)
-        spec = ShardTaskSpec("merge-0000", cost_s=1.0, shard_id=0)
-        first = reschedule_failed_tasks([(spec, 1)], placement).elapsed_s
-        third = reschedule_failed_tasks([(spec, 3)], placement).elapsed_s
-        assert third > first
-
-    def test_every_worker_blacklisted_is_an_error(self):
-        placement = ShardPlacement(num_shards=2, num_workers=2)
-        spec = ShardTaskSpec("merge-0000", cost_s=1.0, shard_id=0)
-        with pytest.raises(ValueError, match="blacklisted"):
-            reschedule_failed_tasks([(spec, 1)], placement, blacklisted=[0, 1])
-
-    def test_sharded_store_reports_retry_schedule(self, tmp_path):
-        wrapper = ResilientExecutor(SerialBackend(), policy=_policy())
-        store = ShardedMRBGStore(
-            str(tmp_path / "store"), num_shards=4, executor=wrapper
-        )
-        try:
-            store.build(
-                (k2, [Edge(0, float(k2))]) for k2 in range(32)
-            )
-            delta = [
-                (k2, [DeltaEdge(1, 1.0, Op.INSERT)]) for k2 in range(0, 32, 2)
-            ]
-            # Fault-free merge: no retry schedule.
-            list(store.merge_delta(delta))
-            assert store.last_retry_schedule is None
-            # Faulted merge: the failed merge task gets a retry placement.
-            wrapper.fault_hook = _hook_for(
-                TaskFault("transient", task_index=0, occurrence=0)
-            )
-            list(store.merge_delta(delta))
-            assert store.last_retry_schedule is not None
-            assert len(store.last_retry_schedule.assignment) == 1
-            assert store.last_retry_schedule.elapsed_s > 0.0
-            # The fault-free schedule of the same merge is untouched.
-            assert len(store.last_schedule.assignment) > 1
-        finally:
-            store.close()
-            wrapper.close()
 
 
 # ---------------------------------------------------------------------- #
@@ -501,11 +425,6 @@ def _i2mr_run(executor, faults=()):
 
 def _schedule(kind):
     """One engine-level fault schedule per fault kind."""
-    if kind == "slowdown":
-        return (
-            TaskFault("slowdown", task_index=0, occurrence=0, slow_s=0.01),
-            TaskFault("slowdown", task_index=2, occurrence=1, slow_s=0.01),
-        )
     return (
         TaskFault(kind, task_index=0, occurrence=0),
         TaskFault("transient", task_index=2, occurrence=1),
@@ -558,7 +477,7 @@ _fault_entries = st.lists(
     st.tuples(
         st.integers(min_value=0, max_value=5),
         st.integers(min_value=0, max_value=1),
-        st.sampled_from(["transient", "slowdown", "worker-kill"]),
+        st.sampled_from(["transient", "worker-kill"]),
     ),
     max_size=5,
     unique_by=lambda entry: (entry[0], entry[1]),
@@ -575,9 +494,7 @@ class TestRandomFaultSchedules:
                 # Bound whole-round charges so the (deliberately small)
                 # retry budget cannot be exhausted by the schedule shape.
                 kind = "transient"
-            faults.append(
-                TaskFault(kind, task_index=index, occurrence=occurrence, slow_s=0.005)
-            )
+            faults.append(TaskFault(kind, task_index=index, occurrence=occurrence))
         assert _wordcount_run("serial", tuple(faults)) == _wordcount_run("serial")
 
 
@@ -592,7 +509,7 @@ class TestChaosMode:
         monkeypatch.setattr(config, "CHAOS_RATE", 0.5)
 
         def run():
-            wrapper = ResilientExecutor(SerialBackend(), policy=_policy(max_retries=4))
+            wrapper = ResilientExecutor(SerialBackend(), max_retries=4)
             try:
                 values = wrapper.run_tasks(_square, range(40), picklable=True)
             finally:
@@ -609,7 +526,7 @@ class TestChaosMode:
     def test_chaos_respects_zero_rate(self, monkeypatch):
         monkeypatch.setattr(config, "CHAOS_SEED", 1234)
         monkeypatch.setattr(config, "CHAOS_RATE", 0.0)
-        wrapper = ResilientExecutor(SerialBackend(), policy=_policy())
+        wrapper = ResilientExecutor(SerialBackend(), max_retries=2)
         try:
             assert wrapper.run_tasks(_square, range(20)) == [
                 x * x for x in range(20)
@@ -634,12 +551,11 @@ class TestChaosMode:
 class TestTaskFaultSpecs:
     def test_fault_spec_task_stage_roundtrip(self):
         spec = FaultSpec(iteration=1, stage="task", task_index=3,
-                         task_kind="slowdown", slow_s=0.2)
+                         task_kind="worker-kill")
         fault = spec.as_task_fault()
-        assert fault == TaskFault("slowdown", task_index=3, occurrence=1, slow_s=0.2)
+        assert fault == TaskFault("worker-kill", task_index=3, occurrence=1)
         directive = fault.directive()
-        assert directive == TaskFaultDirective(kind="slowdown", slow_s=0.2,
-                                               occurrence=1)
+        assert directive == TaskFaultDirective(kind="worker-kill", occurrence=1)
 
     def test_injector_routes_task_stage(self):
         injector = FaultInjector([
@@ -657,23 +573,17 @@ class TestTaskFaultSpecs:
                        task_retries=-1)
         with pytest.raises(InvalidJobConf):
             conf.validate()
-        conf = JobConf("j", TokenMapper, SumReducer, inputs=["/x"], output="/y",
-                       task_timeout_s=0.0)
-        with pytest.raises(InvalidJobConf):
-            conf.validate()
 
     def test_retry_policy_for_job_reads_knobs(self):
+        selector = ExecutorSelector("serial")
         conf = JobConf("j", TokenMapper, SumReducer, inputs=["/x"], output="/y",
-                       task_retries=5, task_timeout_s=1.5, speculation=True)
-        policy = RetryPolicy.for_job(conf)
-        assert policy.max_retries == 5
-        assert policy.timeout_s == 1.5
-        assert policy.speculation is True
-        assert policy.active
+                       task_retries=5)
+        assert selector.for_job(conf).max_retries == 5
+        # A job that sets no budget gets the REPRO_TASK_RETRIES default.
+        conf = JobConf("j", TokenMapper, SumReducer, inputs=["/x"], output="/y")
+        assert selector.for_job(conf).max_retries == config.DEFAULT_TASK_RETRIES
+        selector.close()
 
     def test_retry_policy_validation(self):
         with pytest.raises(ValueError):
-            RetryPolicy(max_retries=-1)
-        with pytest.raises(ValueError):
-            RetryPolicy(timeout_s=0.0)
-        assert not RetryPolicy.disabled().active
+            ResilientExecutor(SerialBackend(), max_retries=-1)

@@ -11,6 +11,7 @@ piecewise first.
 
 from __future__ import annotations
 
+import math
 import pickle
 import random
 import threading
@@ -33,10 +34,8 @@ from repro.common.errors import (
 from repro.common.kvpair import sort_key
 from repro.datasets.text import zipf_tweets
 from repro.mapreduce.job import JobConf
-from repro.resilience import RetryPolicy
 from repro.serving import (
     EpochManager,
-    LoadGenerator,
     QueryMix,
     QueryServer,
     ResultCache,
@@ -387,10 +386,15 @@ class TestQueryServer:
             server.get("w00")
         assert err.value.cost_s > err.value.timeout_s
         assert server.stats.timeouts == 1
-        # a policy without a deadline never times out.
-        relaxed = _small_server(policy=RetryPolicy.disabled())
+        # a server without a deadline never times out.
+        relaxed = _small_server(timeout_s=math.inf)
         relaxed.top_k(5)
         assert relaxed.stats.timeouts == 0
+
+    def test_non_positive_timeout_is_rejected(self):
+        for bad in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                QueryServer(timeout_s=bad)
 
     def test_costs_are_deterministic(self):
         def run():
@@ -489,7 +493,7 @@ def test_scans_equal_the_per_hit_reference(data):
     server = QueryServer(
         manager=EpochManager(num_shards=shards, retain=3, collapse_depth=1),
         cache=ResultCache(capacity=0),
-        policy=RetryPolicy.disabled(),
+        timeout_s=math.inf,
     )
     manager = server.manager
     state = {}
@@ -663,69 +667,10 @@ class TestServingBridge:
         assert server.manager.latest_epoch == 2
         assert server.get("total").value == 4  # the poison batch's 2 lost
 
-    def test_net_zero_batch_publishes_bare_commit_record(self):
-        """A batch whose delta nets to zero schedules no map tasks and
-        publishes no epoch work beyond the commit record itself."""
-        from repro.algorithms.pagerank import PageRank
-        from repro.common.kvpair import delete, insert
-        from repro.datasets.graphs import powerlaw_web_graph
-        from repro.iterative.api import IterativeJob
-        from repro.streaming import IterativeStreamConsumer
 
-        graph = powerlaw_web_graph(60, 4.0, seed=3)
-        cluster, dfs = fresh_cluster()
-        job = IterativeJob(PageRank(), graph, num_partitions=4,
-                           max_iterations=60, epsilon=1e-6)
-        consumer = IterativeStreamConsumer.from_initial(
-            cluster, dfs, job, net_deltas=True
-        )
-        server = QueryServer(num_shards=2)
-        server.publish(consumer.state())  # epoch 0: the initial state
-        probe = next(iter(consumer.state()))
-        assert server.get(probe).from_cache is False
-        assert server.get(probe).from_cache is True  # primed
-        bridge = ServingBridge(server)
-        noop = [insert(999, ((1,), "")), delete(999, ((1,), ""))]
-        with ContinuousPipeline(
-            ReplaySource(noop, rate=100.0), CountBatcher(2), consumer
-        ) as pipe:
-            pipe.add_batch_listener(bridge)
-            result = pipe.run()
-        assert result.num_batches == 1
-        assert result.batches[0].map_tasks == 0
-        # The commit record: one new epoch, but it touches nothing —
-        # readers advance, cached answers survive untouched.
-        assert bridge.published == 1
-        snapshot = server.manager.latest()
-        assert snapshot.epoch == 1
-        assert snapshot.touched == frozenset()
-        answer = server.get(probe)
-        assert answer.from_cache is True
-        assert answer.epoch == 1
-
-
-# --------------------------------------------------------------------- #
-# load generator                                                        #
-# --------------------------------------------------------------------- #
-
-
-class TestLoadGenerator:
-    def test_deterministic_choices_and_hot_set_hits(self):
-        server = _small_server()
-        keys = [f"w{i:02d}" for i in range(12)]
-        report = LoadGenerator(server, keys, QueryMix(), seed=3).run(120)
-        assert report["queries"] == 120
-        assert report["cache_hit_rate"] > 0
-        assert report["epochs_served"] >= 1
-        # same seed, fresh server -> the same simulated read cost.
-        again = LoadGenerator(_small_server(), keys, QueryMix(), seed=3).run(120)
-        assert again["sim_read_s"] == report["sim_read_s"]
-
-    def test_rejects_empty_universe(self):
-        with pytest.raises(ValueError):
-            LoadGenerator(_small_server(), [])
-        with pytest.raises(ValueError):
-            QueryMix(point=0, multi=0, top_k=0, range_scan=0)
+def test_query_mix_rejects_all_zero_weights():
+    with pytest.raises(ValueError):
+        QueryMix(point=0, multi=0, top_k=0, range_scan=0)
 
 
 # --------------------------------------------------------------------- #

@@ -24,7 +24,6 @@ from repro.common.kvpair import delete, insert
 from repro.datasets.graphs import mutate_web_graph, powerlaw_web_graph
 from repro.datasets.text import zipf_tweets
 from repro.incremental.api import delta_to_dfs_records, dfs_records_to_delta
-from repro.incremental.engine import IncrMREngine
 from repro.inciter.engine import I2MREngine, I2MROptions
 from repro.iterative.api import IterativeJob
 from repro.mapreduce.job import JobConf
@@ -46,7 +45,6 @@ from repro.streaming import (
     delta_record_size,
     evolving_text_source,
     evolving_web_graph_source,
-    net_delta_records,
 )
 from repro.streaming.batching import BatchFeedback
 
@@ -675,59 +673,13 @@ class TestPoisonStructureDelta:
 
 
 # --------------------------------------------------------------------- #
-# delta netting: batches that cancel to zero schedule zero tasks        #
+# map-task accounting: what each batch scheduled                        #
 # --------------------------------------------------------------------- #
 
 
 class TestDeltaNetting:
-    def test_net_delta_records_cancels_matched_pairs(self):
-        recs = [
-            insert(1, "a"),
-            delete(1, "a"),
-            insert(2, "b"),
-            delete(3, "c"),
-            insert(3, "c"),
-        ]
-        survivors = net_delta_records(recs)
-        assert [(r.key, r.value, r.op) for r in survivors] == [
-            (2, "b", recs[2].op)
-        ]
-
-    def test_net_delta_records_keeps_order_and_multiplicity(self):
-        recs = [
-            insert(1, "a"),
-            insert(1, "a"),
-            delete(1, "a"),  # nets +1: the *first* insert survives
-            insert(2, "b"),
-        ]
-        survivors = net_delta_records(recs)
-        assert survivors == [recs[0], recs[3]]
-        # A net deletion keeps the delete record, not the insert.
-        down = net_delta_records([insert(4, "x"), delete(4, "x"), delete(4, "x")])
-        assert len(down) == 1 and down[0].op.name == "DELETE"
-
-    def test_net_zero_batch_schedules_zero_map_tasks(self):
-        graph, consumer, _ = _pagerank_setup()
-        consumer.net_deltas = True
-        before = serialization.encode(sorted(consumer.state().items()))
-        noop = [insert(999, ((1,), "")), delete(999, ((1,), ""))]
-        with ContinuousPipeline(
-            ReplaySource(noop, rate=100.0), CountBatcher(2), consumer
-        ) as pipe:
-            result = pipe.run()
-            after = serialization.encode(sorted(consumer.state().items()))
-        assert result.num_batches == 1
-        batch = result.batches[0]
-        assert batch.map_tasks == 0
-        assert batch.processing_s == 0.0
-        assert batch.iterations == 0
-        assert result.total_map_tasks == 0
-        # The preserved state never saw the engine: byte-identical.
-        assert after == before
-
     def test_real_batch_reports_scheduled_map_tasks(self):
         graph, consumer, _ = _pagerank_setup()
-        consumer.net_deltas = True
         records, _ = _recorded_web_deltas(graph, rounds=1)
         with ContinuousPipeline(
             ReplaySource(records, rate=100.0),
@@ -741,30 +693,9 @@ class TestDeltaNetting:
 
     def test_netting_off_by_default_still_processes_noop_batch(self):
         graph, consumer, _ = _pagerank_setup()
-        assert consumer.net_deltas is False
         noop = [insert(999, ((1,), "")), delete(999, ((1,), ""))]
         outcome = consumer.process_batch(noop)
-        # Without netting the engine runs (and charges startup time)
-        # even though the delta is a logical no-op.
+        # The engine runs (and charges startup time) even though the
+        # delta is a logical no-op.
         assert outcome.processing_s > 0.0
-        consumer.close()
-
-    def test_one_step_net_zero_batch_skips_staging(self):
-        tweets = zipf_tweets(60, seed=5)
-        cluster, dfs = fresh_cluster()
-        dfs.write("/tweets", sorted(tweets.tweets.items()))
-        conf = JobConf(name="wc", mapper=WordCountMapper,
-                       reducer=WordCountReducer, inputs=["/tweets"],
-                       output="/counts", num_reducers=2)
-        consumer = OneStepStreamConsumer.from_initial(
-            cluster, dfs, conf, net_deltas=True
-        )
-        before = consumer.output_records()
-        noop = [insert(7, "hello world"), delete(7, "hello world")]
-        outcome = consumer.process_batch(noop)
-        assert outcome.processing_s == 0.0
-        assert outcome.map_tasks == 0
-        # No staging file was ever written for the netted-out batch.
-        assert dfs.ls("/stream/delta") == []
-        assert consumer.output_records() == before
         consumer.close()

@@ -10,7 +10,6 @@ from repro.mrbgraph.windows import (
     MultiDynamicWindowPolicy,
     MultiFixedWindowPolicy,
     SingleFixedWindowPolicy,
-    policy_by_name,
 )
 
 
@@ -91,17 +90,3 @@ class TestDynamicWindow:
         with pytest.raises(ValueError):
             MultiDynamicWindowPolicy(read_cache_size=0)
 
-
-class TestRegistry:
-    @pytest.mark.parametrize(
-        "name",
-        ["index-only", "single-fix-window", "multi-fix-window",
-         "multi-dynamic-window"],
-    )
-    def test_policy_by_name(self, name):
-        policy = policy_by_name(name)
-        assert hasattr(policy, "plan")
-
-    def test_unknown_name(self):
-        with pytest.raises(ValueError):
-            policy_by_name("exotic-window")

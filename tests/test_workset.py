@@ -15,14 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms.gimv_cc import GIMVConnectedComponents
 from repro.algorithms.kmeans import Kmeans
 from repro.algorithms.pagerank import PageRank
 from repro.algorithms.sssp import SSSP
 from repro.common.errors import InvalidJobConf
 from repro.common.hashing import partition_for
 from repro.datasets.graphs import WebGraph, powerlaw_web_graph, weighted_graph_from
-from repro.datasets.matrices import block_matrix
 from repro.datasets.points import gaussian_points
 from repro.iterative.api import IterativeJob
 from repro.iterative.engine import IterMREngine, run_full_iteration
@@ -47,12 +45,6 @@ def _sssp_case():
     return SSSP(source=0), graph, dict(max_iterations=12, epsilon=0.0), "exact"
 
 
-def _gimv_cc_case():
-    matrix = block_matrix(num_blocks=5, block_size=6, density=0.08, seed=2)
-    algorithm = GIMVConnectedComponents(block_size=6)
-    return algorithm, matrix, dict(max_iterations=12, epsilon=0.0), "exact"
-
-
 def _kmeans_case():
     points = gaussian_points(90, dim=3, k=3, seed=3)
     # K-means re-sums member points when clusters change; summation order
@@ -64,7 +56,6 @@ def _kmeans_case():
 CASES = {
     "pagerank": _pagerank_case,
     "sssp": _sssp_case,
-    "gimv_cc": _gimv_cc_case,
     "kmeans": _kmeans_case,
 }
 
