@@ -91,10 +91,13 @@ def test_executor_name_is_stripped(reload_with):
     assert reload_with("REPRO_EXECUTOR", " process ").DEFAULT_EXECUTOR == "process"
 
 
-def test_unknown_executor_raises_at_import(reload_with):
+@pytest.mark.parametrize("word", ["bogus", "processes"])
+def test_unknown_executor_raises_at_import(reload_with, word):
+    # The environment takes only the canonical names; the ``threads`` /
+    # ``processes`` aliases stay a per-job spelling (``JobConf.executor``).
     with pytest.raises(InvalidEnvVar, match="REPRO_EXECUTOR") as excinfo:
-        reload_with("REPRO_EXECUTOR", "bogus")
-    assert excinfo.value.value == "bogus"
+        reload_with("REPRO_EXECUTOR", word)
+    assert excinfo.value.value == word
     for name in config.EXECUTOR_NAMES:
         assert name in str(excinfo.value)
 

@@ -21,7 +21,9 @@ function lines and the largest unreached functions::
 Code that runs only inside process-pool workers is not seen (the hook
 is not inherited by pool children), so such functions count as
 unreached; code on thread-pool workers is seen.  Tests are not an entry
-point: a unit only tests reach counts as unreached.
+point: a unit only tests reach counts as unreached.  The entry points run
+with every ``REPRO_*`` variable unset, so the report does not depend on
+the caller's environment.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 PACKAGE = os.path.join(SRC, "repro")
 WORKLOADS = ("pagerank_e2e", "pagerank_par", "wordcount_accum", "store_maintain")
+#: How many of the largest unreached functions the report lists.
+TOP = 20
 
 #: Runs one entry point under the profile hook, then writes the called
 #: code objects as ``[filename, first line, name]`` rows to ``argv[1]``.
@@ -89,7 +93,9 @@ def entry_points() -> List[Tuple[str, str, List[str]]]:
 
 def run_entry_point(kind: str, target: str, args: Sequence[str]) -> Set[FunctionKey]:
     """Called code objects under ``src/repro`` of one profiled run."""
-    env = dict(os.environ)
+    # Inherited REPRO_* knobs would change which code paths run (say, a
+    # process-pool default hides worker code), so every run uses the defaults.
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
     env["PYTHONPATH"] = os.pathsep.join([SRC, ROOT])
     fd, out = tempfile.mkstemp(prefix="reach-", suffix=".json")
     os.close(fd)
@@ -197,8 +203,6 @@ def main(argv: Sequence[str] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--max-share", type=float, metavar="P",
                         help="exit 1 when more than P %% of function lines are unreached")
-    parser.add_argument("--top", type=int, default=20,
-                        help="how many of the largest unreached functions to list")
     args = parser.parse_args(argv)
 
     reached: Set[FunctionKey] = set()
@@ -210,7 +214,7 @@ def main(argv: Sequence[str] = None) -> int:
     print(f"reach audit: {unreached} of {total} function lines under src/repro "
           f"({share:.1f} %) are reached by no entry point")
     print(f"largest unreached functions ({len(missed)} in all):")
-    for lines, where in missed[:args.top]:
+    for lines, where in missed[:TOP]:
         print(f"{lines:6d}  {where}")
     if args.max_share is not None and share > args.max_share:
         print(f"unreached share {share:.1f} % is above --max-share {args.max_share:g} %")
